@@ -20,8 +20,8 @@ from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, ConservationResult,
                           DiagRecord, GronwallResult, RiccatiResult,
                           SymmetryMode, conservation_check, energy_scalars,
                           fill_identity_residuals, gronwall_check_h2,
-                          h3_energy_check, identity_residuals, make_record,
-                          riccati_check, symmetry_residual)
+                          h3_energy_check, make_record, riccati_check,
+                          symmetry_residual)
 from .dynamics import State, Tendency, eval_rhs, momentum, u_from_m0
 from .initdata import (InitKind, InitSpec, blowup_bound, build_initial,
                        profile, u0_prime_at_zero)
@@ -46,7 +46,7 @@ __all__ = [
     "classify_scenario", "conservation_check", "custom_params",
     "energy_scalars", "eval_rhs", "fill_identity_residuals",
     "gronwall_check_h2", "h3_energy_check",
-    "identity_residuals", "init_characteristics", "make_params",
+    "init_characteristics", "make_params",
     "make_record", "momentum", "profile", "rho_sup_bound_check",
     "riccati_check", "run", "step_rk4", "symmetry_residual",
     "transport_residual", "u0_prime_at_zero", "u_from_m0",

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .diagnostics import _exp_term
+from .diagnostics import _exp_envelope
 from .dynamics import State
 from .model import ModelParams
 from .spectral import Grid
@@ -139,15 +139,8 @@ class RhoBoundResult:
 
 
 def _check_variant(variant, ts, sup_rho, rate, slack):
-    rho0 = sup_rho[0]
-    worst = -np.inf
-    first_bad = None
-    for t, s_r, r in zip(ts, sup_rho, rate):
-        # saturating exponential: a bound past float range holds vacuously
-        bound = _exp_term(float(rho0), float(r) * float(t))
-        worst = max(worst, s_r - bound)
-        if s_r > bound * (1.0 + slack) and first_bad is None:
-            first_bad = t
+    bounds, first_bad = _exp_envelope(ts, sup_rho, float(sup_rho[0]), rate, slack)
+    worst = max([-np.inf] + [s_r - b for s_r, b in zip(sup_rho, bounds)])
     return RhoBoundResult(variant, True, first_bad is None, first_bad, float(worst))
 
 

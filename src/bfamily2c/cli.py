@@ -23,8 +23,10 @@ import logging
 import math
 import os
 import sys
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, dataclass, fields
+from enum import Enum, EnumMeta
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, DiagRecord,
                           h3_energy_check, riccati_check)
 from .dynamics import State
 from .initdata import InitKind, InitSpec, blowup_bound, build_initial
-from .model import CaseTag, Framework, ModelParams, custom_params, make_params
+from .model import CaseTag, ModelParams, custom_params, make_params
 from .spectral import Grid
 from .stepper import (DiagSettings, RunReport, RunStatus, StepControl,
                       Trajectory, run)
@@ -76,8 +78,17 @@ def _section(cfg: dict, key: str, required: bool = True) -> dict:
     return val
 
 
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
+          bool: (bool, "a boolean"), str: (str, "a string"),
+          dict: (dict, "an object")}
+
+
 def _take(sec: dict, path: str, key: str, kind, default=...):
-    """Pop sec[key] coerced to `kind`; errors name the dotted field."""
+    """Pop sec[key] coerced to `kind`; errors name the dotted field.
+
+    `kind` is a resolved annotation: one of _KINDS, an Enum (given by
+    value), or `X | None` (null then means the default).
+    """
     if key not in sec:
         if default is ...:
             raise ConfigError(f"missing required field '{path}.{key}'")
@@ -86,27 +97,18 @@ def _take(sec: dict, path: str, key: str, kind, default=...):
     where = f"{path}.{key}"
     if val is None and default is not ...:
         return default  # explicit null falls back to the default
-    if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise ConfigError(f"field '{where}' must be a number, got {val!r}")
-        return float(val)
-    if kind is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            raise ConfigError(f"field '{where}' must be an integer, got {val!r}")
-        return int(val)
-    if kind is bool:
-        if not isinstance(val, bool):
-            raise ConfigError(f"field '{where}' must be a boolean, got {val!r}")
-        return val
-    if kind is str:
-        if not isinstance(val, str):
-            raise ConfigError(f"field '{where}' must be a string, got {val!r}")
-        return val
-    if kind is dict:
-        if not isinstance(val, dict):
-            raise ConfigError(f"field '{where}' must be an object, got {val!r}")
-        return val
-    raise AssertionError(kind)
+    kind = next(a for a in typing.get_args(kind) or (kind,) if a is not type(None))
+    if isinstance(kind, EnumMeta):
+        try:
+            return kind(val)
+        except ValueError:
+            choices = "/".join(m.value for m in kind)
+            raise ConfigError(f"field '{where}' must be one of {choices}, "
+                              f"got {val!r}") from None
+    accepted, noun = _KINDS[kind]
+    if not isinstance(val, accepted) or (isinstance(val, bool) and kind is not bool):
+        raise ConfigError(f"field '{where}' must be {noun}, got {val!r}")
+    return kind(val)
 
 
 def _no_leftovers(sec: dict, path: str) -> None:
@@ -114,127 +116,104 @@ def _no_leftovers(sec: dict, path: str) -> None:
         raise ConfigError(f"unknown field '{path}.{next(iter(sec))}'")
 
 
-def _parse_model(cfg: dict) -> ModelParams:
-    sec = dict(_section(cfg, "model"))
-    case = _take(sec, "model", "case", str)
-    try:
-        if case == CaseTag.CUSTOM.value:
-            p = custom_params(_take(sec, "model", "k1", float),
-                              _take(sec, "model", "k2", float),
-                              _take(sec, "model", "k3", float))
-        elif case in (CaseTag.CASE_I.value, CaseTag.CASE_II.value):
-            p = make_params(CaseTag(case), _take(sec, "model", "b", float))
-        else:
-            raise ConfigError(f"field 'model.case' must be one of "
-                              f"case_i/case_ii/custom, got {case!r}")
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    _no_leftovers(sec, "model")
-    return p
-
-
-def _parse_grid(cfg: dict) -> Grid:
-    sec = dict(_section(cfg, "grid"))
-    L = _take(sec, "grid", "L", float)
-    N = _take(sec, "grid", "N", int)
-    _no_leftovers(sec, "grid")
-    try:
-        g = Grid(L, N)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    if N & (N - 1) != 0:
-        logger.warning("grid.N=%d is not a power of two; FFTs will be slower", N)
-    return g
-
-
-def _parse_control(cfg: dict) -> StepControl:
-    sec = dict(_section(cfg, "control"))
-    fw = _take(sec, "control", "framework", str, Framework.HS.value)
-    try:
-        framework = Framework(fw)
-    except ValueError:
-        raise ConfigError(f"field 'control.framework' must be 'hs' or 'h2', got {fw!r}")
-    kwargs = dict(
-        t_end=_take(sec, "control", "t_end", float),
-        cfl=_take(sec, "control", "cfl", float, 0.3),
-        dt_min=_take(sec, "control", "dt_min", float, 1e-9),
-        dt_max=_take(sec, "control", "dt_max", float, 0.1),
-        blowup_grad_threshold=_take(sec, "control", "blowup_grad_threshold",
-                                    float, 1e4),
-        dealias=_take(sec, "control", "dealias", bool, True),
-        framework=framework,
-    )
-    _no_leftovers(sec, "control")
-    try:
-        return StepControl(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"control: {exc}") from exc
-
-
-def _parse_init_spec(sec: dict, path: str) -> InitSpec:
-    sec = dict(sec)
-    kind_s = _take(sec, path, "kind", str)
-    try:
-        kind = InitKind(kind_s)
-    except ValueError:
-        raise ConfigError(
-            f"field '{path}.kind' must be one of "
-            f"{'/'.join(k.value for k in InitKind)}, got {kind_s!r}")
-    kwargs = dict(
-        kind=kind,
-        amplitude=_take(sec, path, "amplitude", float, 1.0),
-        width=_take(sec, path, "width", float, 1.0),
-        center=_take(sec, path, "center", float, 0.0),
-    )
-    if kind is InitKind.FROM_M0:
-        kwargs["m0_spec"] = _parse_init_spec(_take(sec, path, "m0", dict),
-                                             f"{path}.m0")
-    if kind is InitKind.TABLE:
-        kwargs["table_path"] = _take(sec, path, "path", str)
+def _build(cls, kwargs: dict, sec: dict, path: str):
+    """cls(**kwargs) once `sec` is used up; its ValueError names `path`."""
     _no_leftovers(sec, path)
     try:
-        return InitSpec(**kwargs)
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_initial(cfg: dict) -> tuple[InitSpec, InitSpec]:
-    sec = dict(_section(cfg, "initial"))
-    spec_u = _parse_init_spec(_take(sec, "initial", "u", dict), "initial.u")
-    spec_rho = _parse_init_spec(_take(sec, "initial", "rho", dict), "initial.rho")
-    _no_leftovers(sec, "initial")
-    return spec_u, spec_rho
+# dataclass fields no config key of the same name sets: StepControl's
+# resolution_tol is not configurable; InitSpec's m0_spec and table_path
+# come from the keys m0 and path
+_NOT_IN_CONFIG = {"resolution_tol", "m0_spec", "table_path"}
+
+
+def _config_fields(cls) -> list[Field]:
+    return [f for f in fields(cls) if f.name not in _NOT_IN_CONFIG]
+
+
+def _take_fields(cls, sec: dict, path: str) -> dict:
+    """Pop every config field of dataclass `cls`, typed and defaulted by it."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: _take(sec, path, f.name, hints[f.name],
+                          ... if f.default is MISSING else f.default)
+            for f in _config_fields(cls)}
+
+
+def _parse_section(cls, cfg: dict, key: str, required: bool = True):
+    sec = dict(_section(cfg, key, required))
+    return _build(cls, _take_fields(cls, sec, key), sec, key)
+
+
+def _echo(obj) -> dict:
+    """The config fields of dataclass `obj`, enums by value."""
+    vals = {f.name: getattr(obj, f.name) for f in _config_fields(obj)}
+    return {k: v.value if isinstance(v, Enum) else v for k, v in vals.items()}
+
+
+def _parse_model(cfg: dict) -> ModelParams:
+    sec = dict(_section(cfg, "model"))
+    case = _take(sec, "model", "case", CaseTag)
+    if case is CaseTag.CUSTOM:
+        kwargs = {k: _take(sec, "model", k, float) for k in ("k1", "k2", "k3")}
+        return _build(custom_params, kwargs, sec, "model")
+    kwargs = {"case_tag": case, "b": _take(sec, "model", "b", float)}
+    return _build(make_params, kwargs, sec, "model")
+
+
+def _parse_grid(cfg: dict) -> Grid:
+    sec = dict(_section(cfg, "grid"))
+    kwargs = {"L": _take(sec, "grid", "L", float), "N": _take(sec, "grid", "N", int)}
+    g = _build(Grid, kwargs, sec, "grid")
+    if g.N & (g.N - 1) != 0:
+        logger.warning("grid.N=%d is not a power of two; FFTs will be slower", g.N)
+    return g
+
+
+def _parse_init_spec(sec: dict, path: str) -> InitSpec:
+    sec = dict(sec)
+    kwargs = _take_fields(InitSpec, sec, path)
+    if kwargs["kind"] is InitKind.FROM_M0:
+        kwargs["m0_spec"] = _parse_init_spec(_take(sec, path, "m0", dict),
+                                             f"{path}.m0")
+    if kwargs["kind"] is InitKind.TABLE:
+        kwargs["table_path"] = _take(sec, path, "path", str)
+    return _build(InitSpec, kwargs, sec, path)
+
+
+def _echo_init_spec(spec: InitSpec) -> dict:
+    d = _echo(spec)
+    if spec.m0_spec is not None:
+        d["m0"] = _echo_init_spec(spec.m0_spec)
+    if spec.table_path is not None:
+        d["path"] = spec.table_path
+    return d
 
 
 @dataclass
 class OutputSettings:
+    """The `outputs` section: field names, types and defaults are its schema."""
+
     directory: str = "out"
     diag_every: int = 1
     snapshot_every: int = 0
     char_label_stride: int = 4
     hs_order: float = 2.0
 
-
-def _parse_outputs(cfg: dict) -> OutputSettings:
-    sec = dict(_section(cfg, "outputs", required=False))
-    out = OutputSettings(
-        directory=_take(sec, "outputs", "directory", str, "out"),
-        diag_every=_take(sec, "outputs", "diag_every", int, 1),
-        snapshot_every=_take(sec, "outputs", "snapshot_every", int, 0),
-        char_label_stride=_take(sec, "outputs", "char_label_stride", int, 4),
-        hs_order=_take(sec, "outputs", "hs_order", float, 2.0),
-    )
-    _no_leftovers(sec, "outputs")
-    if out.diag_every < 1:
-        raise ConfigError("field 'outputs.diag_every' must be >= 1")
-    if out.snapshot_every < 0 or out.char_label_stride < 0:
-        raise ConfigError("fields 'outputs.snapshot_every' and "
-                          "'outputs.char_label_stride' must be >= 0")
-    return out
+    def __post_init__(self) -> None:
+        if self.diag_every < 1:
+            raise ValueError("diag_every must be >= 1")
+        if self.snapshot_every < 0 or self.char_label_stride < 0:
+            raise ValueError("snapshot_every and char_label_stride must be >= 0")
 
 
 @dataclass
 class CheckSettings:
+    """The `checks` section: field names, types and defaults are its schema."""
+
     conservation: bool = True
     gronwall: bool = True
     rho_bound: bool = True
@@ -255,41 +234,6 @@ class CheckSettings:
     riccati_tol_coeff: float = 1e-4
 
 
-def _parse_checks(cfg: dict) -> CheckSettings:
-    sec = dict(_section(cfg, "checks", required=False))
-    mode_s = _take(sec, "checks", "symmetry_mode", str, None)
-    mode = None
-    if mode_s is not None:
-        try:
-            mode = SymmetryMode(mode_s)
-        except ValueError:
-            raise ConfigError(
-                f"field 'checks.symmetry_mode' must be one of "
-                f"{'/'.join(m.value for m in SymmetryMode)}, got {mode_s!r}")
-    cs = CheckSettings(
-        conservation=_take(sec, "checks", "conservation", bool, True),
-        gronwall=_take(sec, "checks", "gronwall", bool, True),
-        rho_bound=_take(sec, "checks", "rho_bound", bool, True),
-        transport=_take(sec, "checks", "transport", bool, None),
-        identities=_take(sec, "checks", "identities", bool, True),
-        symmetry=_take(sec, "checks", "symmetry", bool, None),
-        origin=_take(sec, "checks", "origin", bool, None),
-        riccati=_take(sec, "checks", "riccati", bool, False),
-        h3_energy=_take(sec, "checks", "h3_energy", bool, False),
-        symmetry_mode=mode,
-        transport_tol=_take(sec, "checks", "transport_tol", float, 1e-6),
-        symmetry_tol=_take(sec, "checks", "symmetry_tol", float, 1e-10),
-        origin_tol=_take(sec, "checks", "origin_tol", float, 1e-9),
-        identity_rel_tol=_take(sec, "checks", "identity_rel_tol", float, 1e-2),
-        gronwall_slack=_take(sec, "checks", "gronwall_slack", float, 1e-8),
-        rho_bound_slack=_take(sec, "checks", "rho_bound_slack", float, 1e-8),
-        conservation_tol=_take(sec, "checks", "conservation_tol", float, 1e-12),
-        riccati_tol_coeff=_take(sec, "checks", "riccati_tol_coeff", float, 1e-4),
-    )
-    _no_leftovers(sec, "checks")
-    return cs
-
-
 @dataclass
 class RunSetup:
     params: ModelParams
@@ -308,15 +252,18 @@ def parse_config(cfg: dict) -> RunSetup:
     for key in cfg:
         if key not in known:
             raise ConfigError(f"unknown section '{key}'")
+    initial = dict(_section(cfg, "initial"))
     setup = RunSetup(
         params=_parse_model(cfg),
         grid=_parse_grid(cfg),
-        control=_parse_control(cfg),
-        spec_u=None, spec_rho=None,  # type: ignore[arg-type]
-        outputs=_parse_outputs(cfg),
-        checks=_parse_checks(cfg),
+        control=_parse_section(StepControl, cfg, "control"),
+        spec_u=_parse_init_spec(_take(initial, "initial", "u", dict), "initial.u"),
+        spec_rho=_parse_init_spec(_take(initial, "initial", "rho", dict),
+                                  "initial.rho"),
+        outputs=_parse_section(OutputSettings, cfg, "outputs", required=False),
+        checks=_parse_section(CheckSettings, cfg, "checks", required=False),
     )
-    setup.spec_u, setup.spec_rho = _parse_initial(cfg)
+    _no_leftovers(initial, "initial")
     cs = setup.checks
     if cs.transport is None:
         cs.transport = setup.outputs.char_label_stride > 0
@@ -335,55 +282,19 @@ def parse_config(cfg: dict) -> RunSetup:
 
 def config_echo(setup: RunSetup) -> dict:
     """The fully-defaulted config; re-running it reproduces the run."""
-    p, g, ctl = setup.params, setup.grid, setup.control
+    p, g = setup.params, setup.grid
     if p.case_tag is CaseTag.CUSTOM:
         model = {"case": "custom", "k1": p.k1, "k2": p.k2, "k3": p.k3}
     else:
         model = {"case": p.case_tag.value, "b": p.b}
-
-    def init_dict(spec: InitSpec) -> dict:
-        d = {"kind": spec.kind.value, "amplitude": spec.amplitude,
-             "width": spec.width, "center": spec.center}
-        if spec.m0_spec is not None:
-            d["m0"] = init_dict(spec.m0_spec)
-        if spec.table_path is not None:
-            d["path"] = spec.table_path
-        return d
-
-    cs = setup.checks
     return {
         "model": model,
         "grid": {"L": g.L, "N": g.N},
-        "control": {
-            "t_end": ctl.t_end, "cfl": ctl.cfl, "dt_min": ctl.dt_min,
-            "dt_max": ctl.dt_max,
-            "blowup_grad_threshold": ctl.blowup_grad_threshold,
-            "dealias": ctl.dealias, "framework": ctl.framework.value,
-        },
-        "initial": {"u": init_dict(setup.spec_u), "rho": init_dict(setup.spec_rho)},
-        "outputs": {
-            "directory": setup.outputs.directory,
-            "diag_every": setup.outputs.diag_every,
-            "snapshot_every": setup.outputs.snapshot_every,
-            "char_label_stride": setup.outputs.char_label_stride,
-            "hs_order": setup.outputs.hs_order,
-        },
-        "checks": {
-            "conservation": cs.conservation, "gronwall": cs.gronwall,
-            "rho_bound": cs.rho_bound, "transport": cs.transport,
-            "identities": cs.identities, "symmetry": cs.symmetry,
-            "origin": cs.origin, "riccati": cs.riccati,
-            "h3_energy": cs.h3_energy,
-            "symmetry_mode": None if cs.symmetry_mode is None
-            else cs.symmetry_mode.value,
-            "transport_tol": cs.transport_tol,
-            "symmetry_tol": cs.symmetry_tol, "origin_tol": cs.origin_tol,
-            "identity_rel_tol": cs.identity_rel_tol,
-            "gronwall_slack": cs.gronwall_slack,
-            "rho_bound_slack": cs.rho_bound_slack,
-            "conservation_tol": cs.conservation_tol,
-            "riccati_tol_coeff": cs.riccati_tol_coeff,
-        },
+        "control": _echo(setup.control),
+        "initial": {"u": _echo_init_spec(setup.spec_u),
+                    "rho": _echo_init_spec(setup.spec_rho)},
+        "outputs": _echo(setup.outputs),
+        "checks": _echo(setup.checks),
     }
 
 
@@ -542,12 +453,10 @@ def _fmt(v: float) -> str:
 
 
 def write_diagnostics_csv(path: Path, records: list[DiagRecord]) -> None:
-    attr = {"E1": "e1", "E2": "e2", "R_m2": "r_m2", "R_rho2": "r_rho2",
-            "R_rhox2": "r_rhox2", "R_rhoxx2": "r_rhoxx2"}
     with open(path, "w", newline="") as fh:
         fh.write(DIAG_HEADER + "\n")
         for r in records:
-            vals = (getattr(r, attr.get(c, c)) for c in DIAG_COLUMNS)
+            vals = (getattr(r, c.lower()) for c in DIAG_COLUMNS)
             fh.write(",".join(_fmt(v) for v in vals) + "\n")
 
 
@@ -577,15 +486,13 @@ def read_records(diag_path: Path, extras_path: Path) -> list[DiagRecord]:
             raise ValueError(f"{path} header mismatch")
         return [ln.split(",") for ln in lines[1:] if ln]
 
-    attr = {"E1": "e1", "E2": "e2", "R_m2": "r_m2", "R_rho2": "r_rho2",
-            "R_rhox2": "r_rhox2", "R_rhoxx2": "r_rhoxx2"}
     diag_rows = read_rows(diag_path, DIAG_HEADER)
     extra_rows = read_rows(extras_path, EXTRA_HEADER)
     if len(diag_rows) != len(extra_rows):
         raise ValueError("diagnostics and extras row counts differ")
     records = []
     for drow, erow in zip(diag_rows, extra_rows):
-        kw = {attr.get(c, c): float(v) for c, v in zip(DIAG_COLUMNS, drow)}
+        kw = {c.lower(): float(v) for c, v in zip(DIAG_COLUMNS, drow)}
         kw.update({c: float(v) for c, v in zip(EXTRA_COLUMNS[1:], erow[1:])})
         kw["step"] = int(erow[0])
         records.append(DiagRecord(**kw))
@@ -670,19 +577,19 @@ def execute_run(setup: RunSetup, out_dir: Path) -> tuple[Trajectory, RunReport, 
     return traj, report, checks
 
 
+def _load_json(path: str):
+    """Read a JSON document; malformed JSON is a ConfigError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: "
+                              f"{exc.msg}") from exc
+
+
 def cmd_run(config_path: str, directory: str | None = None) -> int:
     try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        logger.error("cannot read config: %s", exc)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        logger.error("config parse error in %s: line %d column %d: %s",
-                     config_path, exc.lineno, exc.colno, exc.msg)
-        return EXIT_CONFIG
-    try:
-        setup = parse_config(cfg)
+        setup = parse_config(_load_json(config_path))
         if directory is not None:
             setup.outputs.directory = directory
         traj, report, checks = execute_run(setup, Path(setup.outputs.directory))
@@ -702,28 +609,16 @@ def cmd_run(config_path: str, directory: str | None = None) -> int:
 def _verify_manifest(manifest_dir: Path, manifest: dict) -> tuple[bool, list[str]]:
     """Re-derive all enabled verdicts from the stored CSVs; list mismatches."""
     problems: list[str] = []
-    files = manifest.get("files", {})
-    for name, digest in files.items():
-        path = manifest_dir / name
-        actual = _sha256(path)
-        if actual != digest:
+    for name, digest in manifest.get("files", {}).items():
+        if _sha256(manifest_dir / name) != digest:
             problems.append(f"hash mismatch for {name}")
     records = read_records(manifest_dir / "diagnostics.csv",
                            manifest_dir / "extras.csv")
     if len(records) != manifest.get("n_records"):
         problems.append("record count differs from manifest")
 
-    cfg = manifest["config"]
-    model = cfg["model"]
-    if model["case"] == "custom":
-        p = custom_params(model["k1"], model["k2"], model["k3"])
-    else:
-        p = make_params(CaseTag(model["case"]), model["b"])
-    cs_cfg = dict(cfg["checks"])
-    mode = cs_cfg.pop("symmetry_mode")
-    cs = CheckSettings(**cs_cfg,
-                       symmetry_mode=None if mode is None else SymmetryMode(mode))
-    rederived = evaluate_checks(records, p, cs)
+    setup = parse_config(manifest["config"])
+    rederived = evaluate_checks(records, setup.params, setup.checks)
     stored = manifest["checks"]
     for name, val in rederived.items():
         if name not in stored:
@@ -741,22 +636,13 @@ def _verify_manifest(manifest_dir: Path, manifest: dict) -> tuple[bool, list[str
 
 
 def cmd_check(manifest_path: str) -> int:
-    path = Path(manifest_path)
     try:
-        with open(path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        logger.error("cannot read manifest: %s", exc)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        logger.error("manifest parse error: %s", exc)
-        return EXIT_CONFIG
-    try:
-        ok, problems = _verify_manifest(path.parent, manifest)
+        manifest = _load_json(manifest_path)
+        ok, problems = _verify_manifest(Path(manifest_path).parent, manifest)
     except OSError as exc:
         logger.error("I/O error: %s", exc)
         return EXIT_IO
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ConfigError, KeyError, ValueError, TypeError) as exc:
         logger.error("malformed manifest: %s", exc)
         return EXIT_CONFIG
     if ok:
@@ -797,16 +683,7 @@ def _sweep_one(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 
 def cmd_sweep(config_path: str) -> int:
     try:
-        with open(config_path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        logger.error("cannot read config: %s", exc)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
-        logger.error("config parse error: %s", exc)
-        return EXIT_CONFIG
-
-    try:
+        cfg = _load_json(config_path)
         sweep = _section(cfg, "sweep")
         cases = sweep.get("case", ["case_i"])
         bs = sweep.get("b", [])
@@ -833,12 +710,12 @@ def cmd_sweep(config_path: str) -> int:
             sub["outputs"]["directory"] = str(base_dir / name)
             parse_config(json.loads(json.dumps(sub)))  # validate before submitting
             jobs.append((case, b, amp, sub, str(base_dir / name)))
-    except ConfigError as exc:
+    except (ConfigError, KeyError, TypeError) as exc:
         logger.error("config error: %s", exc)
         return EXIT_CONFIG
-    except (KeyError, TypeError) as exc:
-        logger.error("config error: %s", exc)
-        return EXIT_CONFIG
+    except OSError as exc:
+        logger.error("I/O error: %s", exc)
+        return EXIT_IO
 
     default_workers = min(4, os.cpu_count() or 1)
     try:
@@ -863,12 +740,9 @@ def cmd_sweep(config_path: str) -> int:
                     except Exception as exc:  # isolate per-run failures
                         logger.error("run %s failed: %s", key, exc)
                         failed_runs.append(key)
-                        results[key] = ({
-                            "case": key[0], "b": _fmt(key[1]), "k1": "",
-                            "k2": "", "k3": "", "amplitude": _fmt(key[2]),
-                            "status": "error", "t_final": "",
-                            "blowup_quantity": "", "slope_blowup_bound": "",
-                            "bound_respected": "",
+                        results[key] = (dict.fromkeys(SWEEP_COLUMNS, "") | {
+                            "case": key[0], "b": _fmt(key[1]),
+                            "amplitude": _fmt(key[2]), "status": "error",
                         }, False)
         summary = base_dir / "summary.csv"
         with open(summary, "w", newline="") as fh:

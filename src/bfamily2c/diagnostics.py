@@ -152,20 +152,9 @@ def symmetry_residual(s: State, mode: SymmetryMode, g: Grid) -> float:
     return float(ru + rr)
 
 
-@dataclass(frozen=True)
-class OriginChecks:
-    u0: float
-    uxx0: float
-    rho0: float
-
-
-def origin_checks(s: State, g: Grid) -> OriginChecks:
-    """Pointwise values that must vanish for odd-u data: u, u_xx, rho at x=0."""
-    j0 = g.origin_index
-    uxx = g.derivative(s.u, 2)
-    return OriginChecks(u0=float(s.u[j0]), uxx0=float(uxx[j0]), rho0=float(s.rho[j0]))
-
-
+# the final state of an overflowing run is recorded as is: inf/nan
+# fields, no numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def make_record(
     s: State,
     dt: float,
@@ -236,6 +225,21 @@ def _exp_term(coeff: float, arg: float) -> float:
         return coeff * math.exp(arg)
     except OverflowError:
         return math.copysign(math.inf, coeff)
+
+
+def _exp_envelope(ts, vals, base: float, rate, slack: float):
+    """Per-record bounds base e^{rate t} and the first violation.
+
+    `rate` is one constant or one value per record; the bound at t = 0
+    is base itself.  The first violation is the first t whose value
+    exceeds its bound by more than the relative slack, or None.
+    """
+    rates = np.broadcast_to(rate, np.shape(ts))
+    bounds = [base if t == 0.0 else _exp_term(base, float(r) * float(t))
+              for t, r in zip(ts, rates)]
+    first_bad = next((float(t) for t, v, b in zip(ts, vals, bounds)
+                      if v > b * (1.0 + slack)), None)
+    return bounds, first_bad
 
 
 def _centered_slope(t0, t1, t2, f0, f1, f2) -> float:
@@ -354,15 +358,8 @@ def gronwall_check_h2(records, p: ModelParams, slack: float = 1e-8) -> GronwallR
             + _exp_term(2.0 * abs(k2 - k3) * rho0_sup, abs(k3) * m1 * T)
 
     e2_0 = float(e2[0])
-    first_bad = None
-    worst = 0.0
-    for t, val in zip(ts, e2):
-        bound = e2_0 if t == 0.0 else _exp_term(e2_0, c * t)
-        if bound > 0.0:
-            worst = max(worst, val / bound)
-        if val > bound * (1.0 + slack) + 0.0 and first_bad is None:
-            if not (bound == 0.0 and val == 0.0):
-                first_bad = float(t)
+    bounds, first_bad = _exp_envelope(ts, e2, e2_0, c, slack)
+    worst = max([0.0] + [v / b for v, b in zip(e2, bounds) if b > 0.0])
     return GronwallResult(
         branch=sb.branch,
         boundary_overlap=sb.boundary_overlap,
@@ -425,16 +422,8 @@ def h3_energy_check(records, p: ModelParams, slack: float = 1e-8) -> H3EnergyRes
     else:
         return H3EnergyResult(False, sb.branch, 0.0, m2, 0.0, True, None, 0.0)
 
-    e1_0 = float(e1[0])
-    first_bad = None
-    worst = 0.0
-    for t, val in zip(ts, e1):
-        bound = e1_0 if t == 0.0 else _exp_term(e1_0, c * t)
-        if bound > 0.0:
-            worst = max(worst, val / bound)
-        if val > bound * (1.0 + slack) and not (bound == 0.0 and val == 0.0) \
-                and first_bad is None:
-            first_bad = float(t)
+    bounds, first_bad = _exp_envelope(ts, e1, float(e1[0]), c, slack)
+    worst = max([0.0] + [v / b for v, b in zip(e1, bounds) if b > 0.0])
     return H3EnergyResult(True, sb.branch, m1, m2, c, first_bad is None,
                           first_bad, worst)
 

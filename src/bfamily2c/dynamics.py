@@ -38,6 +38,8 @@ class Tendency:
     drho: np.ndarray
 
 
+# overflow is reported by the isfinite gate below, not by numpy warnings
+@np.errstate(over="ignore", invalid="ignore")
 def eval_rhs(s: State, p: ModelParams, g: Grid, dealias: bool = True) -> Tendency:
     """Evaluate the nonlocal-form tendency of (u, rho).
 

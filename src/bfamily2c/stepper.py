@@ -304,8 +304,8 @@ def run(
         snapshot(s)
 
     t_eps = 1e-12 * max(1.0, ctl.t_end)
+    ux = g.derivative(s.u, 1)  # of the current state: detection, then the next dt
     while ctl.t_end - s.t > t_eps:
-        ux = g.derivative(s.u, 1)
         choice = choose_dt(s, p, ctl, g, ux=ux)
         dt = min(choice.dt, ctl.t_end - s.t)
         try:
@@ -337,10 +337,10 @@ def run(
         if diag.snapshot_every > 0 and n_steps % diag.snapshot_every == 0:
             snapshot(s)
 
-        ux_new = g.derivative(s.u, 1)
-        rhox_new = g.derivative(s.rho, 1) if watch_rhox else None
-        hits = _detection_candidates(scenario.branch, watch_rhox, ux_new,
-                                     rhox_new, ctl.blowup_grad_threshold)
+        ux = g.derivative(s.u, 1)
+        rhox = g.derivative(s.rho, 1) if watch_rhox else None
+        hits = _detection_candidates(scenario.branch, watch_rhox, ux, rhox,
+                                     ctl.blowup_grad_threshold)
         # a run that lands on t_end never reports blow-up
         if hits and choice.collapsed and ctl.t_end - s.t > t_eps:
             quantity, value, j = max(hits, key=lambda h: abs(h[1]))

@@ -88,13 +88,38 @@ def test_explicit_null_means_default():
     assert parse_config(cfg).checks.symmetry_mode is None
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def shipped_config(name: str) -> dict:
+    """A config file of the repo; `sweep` gives the sweep's first member."""
+    if name != "sweep":
+        return json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg = json.loads((CONFIGS / "sweep.json").read_text())
+    sweep = cfg.pop("sweep")
+    cfg["model"] = {"case": sweep["case"][0], "b": sweep["b"][0]}
+    cfg["initial"]["u"]["amplitude"] = sweep["amplitude"][0]
+    return cfg
+
+
+def assert_echoes(given: dict, echo: dict):
+    for key, val in given.items():
+        if isinstance(val, dict):
+            assert_echoes(val, echo[key])
+        else:
+            assert echo[key] == val, key
+
+
 def test_config_echo_round_trips():
-    cfg = base_config(checks={"symmetry_mode": "u_odd_rho_even"},
-                      outputs={"snapshot_every": 5})
-    echo = config_echo(parse_config(cfg))
-    again = parse_config(json.loads(json.dumps(echo)))
-    assert config_echo(again) == echo
-    assert again.checks.symmetry_mode is SymmetryMode.U_ODD_RHO_EVEN
+    base = base_config(checks={"symmetry_mode": "u_odd_rho_even"},
+                       outputs={"snapshot_every": 5})
+    for cfg in (base, *map(shipped_config, ("smooth", "breaking", "sweep"))):
+        echo = config_echo(parse_config(cfg))
+        assert_echoes(cfg, echo)  # every field the config sets, as set
+        again = parse_config(json.loads(json.dumps(echo)))
+        assert config_echo(again) == echo
+    assert parse_config(config_echo(parse_config(base))).checks.symmetry_mode \
+        is SymmetryMode.U_ODD_RHO_EVEN
 
 
 def test_riccati_needs_admissible_coefficients():
@@ -172,6 +197,16 @@ def test_cmd_run_detects_tampering(tmp_path):
                                 "1.5", 1)
     diag.write_text("\n".join(lines) + "\n")
     assert main(["check", str(tmp_path / "out" / "manifest.json")]) == 1
+
+
+def test_check_rejects_unknown_config_field(tmp_path):
+    cfg_path = run_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    path = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["config"]["control"]["bogus"] = 1
+    path.write_text(json.dumps(manifest))
+    assert main(["check", str(path)]) == 2
 
 
 def test_cmd_run_directory_override_reproduces_bitwise(tmp_path):

@@ -10,7 +10,7 @@ from bfamily2c import (Branch, CaseTag, Grid, State, SymmetryMode,
                        make_record, riccati_check, symmetry_residual)
 from bfamily2c.diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS,
                                    _centered_slope, fill_identity_residuals,
-                                   identity_residuals, origin_checks)
+                                   identity_residuals)
 from bfamily2c.stepper import step_rk4
 
 
@@ -53,10 +53,11 @@ def test_symmetry_residual_modes(grid20):
         == pytest.approx(0.2, abs=1e-12)
 
 
-def test_origin_checks_reads_node_values(grid20):
+def test_origin_checks_reads_node_values(grid20, params_b2):
+    # the `origin` check reads these record fields
     u = grid20.x * np.exp(-grid20.x**2)
     rho = np.exp(-grid20.x**2)
-    oc = origin_checks(State(0.0, u, rho), grid20)
+    oc = make_record(State(0.0, u, rho), 0.0, params_b2, grid20)
     assert oc.u0 == 0.0
     assert oc.rho0 == 1.0
     assert abs(oc.uxx0) < 1e-12  # odd profile: even derivative vanishes at 0
