@@ -28,8 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .characteristics import (CharField, advance_characteristics,
-                              init_characteristics, transport_residual)
+from .characteristics import (BOUNDARY_MARGIN, CharField,
+                              advance_characteristics, init_characteristics,
+                              transport_residual)
 from .diagnostics import (DiagRecord, SymmetryMode, fill_identity_residuals,
                           make_record)
 from .dynamics import State, eval_rhs
@@ -266,8 +267,8 @@ def run(
     scenario = classify_scenario(p, ctl.framework)
     watch_rhox = scenario.rho_x_relevant
 
-    char = init_characteristics(g, diag.char_stride) if diag.char_stride > 0 else None
-    rho0 = s0.rho.copy()
+    char = (init_characteristics(s0.rho, p, g, diag.char_stride)
+            if diag.char_stride > 0 else None)
     warned_boundary = False
 
     traj = Trajectory()
@@ -283,7 +284,7 @@ def run(
         tres = math.nan
         qxmin = math.nan
         if char is not None:
-            tres = transport_residual(state, char, rho0, p, g)
+            tres = transport_residual(state, char, p, g)
             qxmin = float(np.min(char.qx))
         traj.records.append(make_record(
             state, dt_used, p, g,
@@ -317,7 +318,7 @@ def run(
                     logger.warning(
                         "characteristic evaluation points within %.0f%% of the "
                         "domain half-width at t=%.6g; transport residuals may "
-                        "degrade", 100 * (1 - 0.95), s.t)
+                        "degrade", 100 * (1 - BOUNDARY_MARGIN), char.t)
                     warned_boundary = True
             else:
                 s_new = step_rk4(s, dt, p, g, dealias=ctl.dealias)

@@ -14,18 +14,31 @@ def constant_stages(g, dt, value):
     return [(0.0, u), (dt / 2, u), (dt / 2, u), (dt, u)]
 
 
-def test_init_layout(grid20):
-    c = init_characteristics(grid20, stride=4)
+def flat(g):
+    return np.zeros(g.N)
+
+
+def test_init_layout(grid20, params_b2):
+    c = init_characteristics(flat(grid20), params_b2, grid20, stride=4)
     assert np.array_equal(c.labels, grid20.x[::4])
     assert np.array_equal(c.q, c.labels)
     assert np.all(c.qx == 1.0)
     assert np.all(c.accumulated_integral == 0.0)
     with pytest.raises(ValueError):
-        init_characteristics(grid20, stride=0)
+        init_characteristics(flat(grid20), params_b2, grid20, stride=0)
+
+
+def test_init_evaluates_rho0_at_scaled_labels(grid20):
+    # rho0(-k3 x) at the labels, with -k3 x wrapping past the domain
+    p = make_params(CaseTag.CASE_II, 3.0)
+    rho0 = np.cos(3 * np.pi * grid20.x / grid20.L)
+    c = init_characteristics(rho0, p, grid20, stride=8)
+    expect = np.cos(3 * np.pi * (-3.0 * c.labels) / grid20.L)
+    assert np.max(np.abs(c.rho0_at_labels - expect)) < 1e-12
 
 
 def test_advance_needs_four_stages(grid20, params_b2):
-    c = init_characteristics(grid20)
+    c = init_characteristics(flat(grid20), params_b2, grid20)
     with pytest.raises(ValueError):
         advance_characteristics(c, constant_stages(grid20, 0.1, 1.0)[:3],
                                 params_b2, grid20, 0.1)
@@ -34,7 +47,7 @@ def test_advance_needs_four_stages(grid20, params_b2):
 def test_constant_velocity_translates_exactly(grid20, params_b2):
     # u = const: dq/dt = c exactly, u_x = 0 so qx stays 1
     dt, c_val = 0.25, 0.75
-    c = init_characteristics(grid20, stride=8)
+    c = init_characteristics(flat(grid20), params_b2, grid20, stride=8)
     c = advance_characteristics(c, constant_stages(grid20, dt, c_val),
                                 params_b2, grid20, dt)
     assert np.allclose(c.q, c.labels + c_val * dt, atol=1e-12)
@@ -44,7 +57,7 @@ def test_constant_velocity_translates_exactly(grid20, params_b2):
 
 def test_zero_velocity_is_identity(grid20, params_b2):
     dt = 0.3
-    c = init_characteristics(grid20)
+    c = init_characteristics(flat(grid20), params_b2, grid20)
     c = advance_characteristics(c, constant_stages(grid20, dt, 0.0),
                                 params_b2, grid20, dt)
     assert np.array_equal(c.q, c.labels)
@@ -54,7 +67,7 @@ def test_zero_velocity_is_identity(grid20, params_b2):
 
 def test_near_boundary_flags_interior_drift(grid20, params_b2):
     # push interior characteristics past 95% of the half-width
-    c = init_characteristics(grid20, stride=8)
+    c = init_characteristics(flat(grid20), params_b2, grid20, stride=8)
     for _ in range(30):
         c = advance_characteristics(c, constant_stages(grid20, 1.0, 1.0),
                                     params_b2, grid20, 1.0)
@@ -63,7 +76,7 @@ def test_near_boundary_flags_interior_drift(grid20, params_b2):
 
 def test_k3_zero_never_flags(grid20):
     p = custom_params(2.0, 4.0, 0.0)
-    c = init_characteristics(grid20, stride=8)
+    c = init_characteristics(flat(grid20), p, grid20, stride=8)
     for _ in range(30):
         c = advance_characteristics(c, constant_stages(grid20, 1.0, 1.0),
                                     p, grid20, 1.0)
@@ -75,7 +88,6 @@ def test_transport_invariant_on_evolved_run():
     p = make_params(CaseTag.CASE_I, 2.0)
     s0 = build_initial(InitSpec(InitKind.GAUSSIAN),
                        InitSpec(InitKind.GAUSSIAN, amplitude=0.5), g)
-    rho0 = s0.rho.copy()
     traj, rep = run(s0, p, StepControl(t_end=0.25), g,
                     diag=DiagSettings(char_stride=4, snapshot_every=10**9))
     assert rep.status.value == "reached_t_end"
@@ -85,7 +97,7 @@ def test_transport_invariant_on_evolved_run():
     # recomputing from the final snapshot and characteristic field
     # reproduces the recorded residual exactly
     final_state = traj.snapshots[-1][1]
-    res = transport_residual(final_state, traj.char, rho0, p, g)
+    res = transport_residual(final_state, traj.char, p, g)
     assert res == final.transport_res
 
 
@@ -154,3 +166,25 @@ def test_rho_bound_saturates_past_float_range():
             for t in ts]
     for res in rho_sup_bound_check(recs, custom_params(2.0, 4.0, 1.0)):
         assert res.ok
+
+
+def test_characteristics_match_dense_interpolation(monkeypatch, dense_interpolate):
+    # case_ii b = 2 has k3 = 2, so -k3 q of the outer labels wraps
+    g = Grid(10.0, 256)
+    p = make_params(CaseTag.CASE_II, 2.0)
+    s0 = build_initial(InitSpec(InitKind.GAUSSIAN),
+                       InitSpec(InitKind.GAUSSIAN, amplitude=0.5), g)
+    ctl, diag = StepControl(t_end=0.3), DiagSettings(char_stride=2)
+    traj, rep = run(s0, p, ctl, g, diag=diag)
+    assert rep.n_steps >= 20
+
+    def dense(self, f, points):
+        rows = [dense_interpolate(self, row, points) for row in np.atleast_2d(f)]
+        return rows[0] if np.ndim(f) == 1 else np.array(rows)
+
+    monkeypatch.setattr(Grid, "interpolate", dense)
+    ref, ref_rep = run(s0, p, ctl, g, diag=diag)
+    assert ref_rep == rep
+    assert np.max(np.abs(traj.char.q - ref.char.q)) <= 1e-12
+    assert np.max(np.abs(traj.char.accumulated_integral
+                         - ref.char.accumulated_integral)) <= 1e-12

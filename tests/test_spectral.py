@@ -178,15 +178,39 @@ def test_interpolate_reproduces_nodes(grid20, rng):
     assert np.max(np.abs(vals - f)) < 1e-11
 
 
-def test_interpolate_band_limited_offgrid(grid20, rng):
+def test_interpolate_band_limited_offgrid(grid20, rng, dense_interpolate):
     f = band_limited(grid20, rng, n_modes=6)
     pts = rng.uniform(-grid20.L, grid20.L, size=40)
-    # analytic evaluation from the same spectrum
-    fh = np.fft.rfft(f)
-    theta = np.outer(pts + grid20.L, grid20.k)
-    exact = np.real(fh[0]) + 2.0 * np.real(np.exp(1j * theta[:, 1:-1]) @ fh[1:-1])
-    exact = (exact + np.real(fh[-1]) * np.cos(theta[:, -1])) / grid20.N
+    exact = dense_interpolate(grid20, f, pts)
     assert np.max(np.abs(grid20.interpolate(f, pts) - exact)) < 1e-11
+
+
+@pytest.mark.parametrize("N", [64, 1024, 4096])
+def test_interpolate_matches_dense_sum(N, rng, dense_interpolate):
+    g = Grid(20.0, N)
+    # O(1) modes n <= 24 and every mode up to Nyquist at 1e-3, so each
+    # anchored block carries weight.  Both sums round the phase k_n y
+    # by ~eps k_n y, so O(1) content at n ~ N/2 would put ~5e-13 of
+    # rounding between any two correct evaluations at N = 4096.
+    fields = []
+    for _ in range(3):
+        fh = 1e-3 * (rng.standard_normal(N // 2 + 1)
+                     + 1j * rng.standard_normal(N // 2 + 1))
+        fh[:25] = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+        fields.append(np.fft.irfft(fh, n=N))
+    pts = np.concatenate([rng.uniform(-3 * g.L, 3 * g.L, 300), g.x[::N // 64]])
+    single = [g.interpolate(f, pts) for f in fields]
+    for f, vals in zip(fields, single):
+        err = np.max(np.abs(vals - dense_interpolate(g, f, pts)))
+        assert err <= 1e-13 * np.max(np.abs(f))
+    stacked = g.interpolate(np.stack(fields), pts)
+    assert stacked.shape == (3, pts.size)
+    for f, row, vals in zip(fields, stacked, single):
+        assert np.max(np.abs(row - vals)) <= 1e-14 * np.max(np.abs(f))
+    assert g.interpolate(np.stack(fields), 0.25).shape == (3,)
+    for bad in (np.zeros((2, N + 1)), np.zeros((1, 2, N))):
+        with pytest.raises(ValueError):
+            g.interpolate(bad, pts)
 
 
 def test_interpolate_wraps_periodically(grid20, rng):

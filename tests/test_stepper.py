@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -5,8 +6,8 @@ import pytest
 
 from bfamily2c import (CaseTag, DiagSettings, Framework, Grid, InitKind,
                        InitSpec, OverflowSignal, RunStatus, State,
-                       StepControl, build_initial, choose_dt, make_params,
-                       run, step_rk4)
+                       StepControl, build_initial, choose_dt, custom_params,
+                       make_params, run, step_rk4)
 
 
 def smooth_state(g: Grid) -> State:
@@ -164,6 +165,25 @@ def test_run_overflow_status(grid20, params_b2):
     assert rep.status is RunStatus.OVERFLOW
     assert rep.overflow_stage == 0
     assert rep.t_final < 1.0
+
+
+def test_boundary_warning_names_margin_and_crossing_time(caplog):
+    # u = 1 moves every characteristic by t; with k3 = 4 on L = 4 the
+    # last interior label, -k3 x = -3.5, passes -0.95 L = -3.8 once
+    # t > 0.075, and the warning names the end of that step
+    g = Grid(4.0, 64)
+    s0 = State(0.0, np.ones(g.N), np.zeros(g.N))
+    with caplog.at_level(logging.WARNING, logger="bfamily2c.stepper"):
+        traj, rep = run(s0, custom_params(2.0, 4.0, 4.0),
+                        StepControl(t_end=0.2), g,
+                        diag=DiagSettings(char_stride=1))
+    assert rep.status is RunStatus.REACHED_T_END
+    warned = [r.getMessage() for r in caplog.records
+              if "domain half-width" in r.getMessage()]
+    t_cross = min(r.t for r in traj.records if 4.0 * (0.875 + r.t) > 3.8)
+    assert warned == [
+        "characteristic evaluation points within 5% of the domain "
+        f"half-width at t={t_cross:.6g}; transport residuals may degrade"]
 
 
 def test_detection_needs_both_signals(grid20, params_b2):
