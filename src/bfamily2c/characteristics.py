@@ -70,33 +70,35 @@ def init_characteristics(rho0: np.ndarray, p: ModelParams, g: Grid,
 
 def advance_characteristics(
     c: CharField,
-    stages: Sequence[tuple[float, np.ndarray]],
+    stages: Sequence[tuple[float, np.ndarray, np.ndarray]],
     p: ModelParams,
     g: Grid,
     dt: float,
 ) -> CharField:
     """One RK4 step of the characteristic ODE using the PDE stage fields.
 
-    `stages` are the four (t, u) pairs the RK4 PDE step evaluated, at
-    offsets (0, dt/2, dt/2, dt).  The Jacobian exponent is accumulated
-    with the matching RK4 weights (Simpson-consistent), and qx is taken
-    from the exponential rather than its own ODE so positivity is exact.
+    `stages` are the four (t, u, u_x) triples the RK4 PDE step
+    evaluated, at offsets (0, dt/2, dt/2, dt).  The Jacobian exponent
+    is accumulated with the matching RK4 weights (Simpson-consistent),
+    and qx is taken from the exponential rather than its own ODE so
+    positivity is exact.
     """
     if len(stages) != 4:
         raise ValueError("advance_characteristics needs the four RK4 stage fields")
     k3 = p.k3
 
-    def rates(u, q):
+    def rates(stage, q):
         """(dq/dt, d/dt of the Jacobian exponent): u and u_x at -k3 q, one basis."""
-        vel, slope = g.interpolate(np.stack([u, g.derivative(u, 1)]), -k3 * q)
+        _, u, ux = stage
+        vel, slope = g.interpolate(np.stack([u, ux]), -k3 * q)
         return vel, -k3 * slope
 
-    u1, u2, u3, u4 = (s[1] for s in stages)
+    s1, s2, s3, s4 = stages
     q = c.q
-    a1, b1 = rates(u1, q)
-    a2, b2 = rates(u2, q + 0.5 * dt * a1)
-    a3, b3 = rates(u3, q + 0.5 * dt * a2)
-    a4, b4 = rates(u4, q + dt * a3)
+    a1, b1 = rates(s1, q)
+    a2, b2 = rates(s2, q + 0.5 * dt * a1)
+    a3, b3 = rates(s3, q + 0.5 * dt * a2)
+    a4, b4 = rates(s4, q + dt * a3)
 
     q_new = q + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
     acc_new = c.accumulated_integral + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)

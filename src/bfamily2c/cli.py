@@ -427,12 +427,21 @@ def checks_all_passed(checks: dict) -> bool:
 
 def slope_bound_payload(records: list[DiagRecord], p: ModelParams,
                         report: RunReport) -> dict:
-    """Wave-breaking upper bound vs. the detected time, when applicable."""
+    """Wave-breaking upper bound vs. the detected time, when applicable.
+
+    A run stopped on lost resolution has no detection time (the stop is
+    not blow-up detection); its stop time goes to t_resolution_lost,
+    and stopped_before_bound compares that with the bound.
+    """
     h0 = records[0].ux0
     applicable = (1.0 < p.k1 <= 3.0) and p.k2 >= 0.0 and h0 > 0.0
+    t_lost = (report.t_final
+              if report.status is RunStatus.RESOLUTION_LOST else None)
     payload: dict = {"applicable": applicable, "u0_prime_at_zero": h0}
     if not applicable:
-        payload.update({"bound": None, "t_detected": None, "respected": None})
+        payload.update({"bound": None, "t_detected": None, "respected": None,
+                        "t_resolution_lost": t_lost,
+                        "stopped_before_bound": None})
         return payload
     bound = blowup_bound(p, h0)
     t_det = (report.blowup.t_detected
@@ -441,6 +450,8 @@ def slope_bound_payload(records: list[DiagRecord], p: ModelParams,
         "bound": bound,
         "t_detected": t_det,
         "respected": (t_det <= bound) if t_det is not None else None,
+        "t_resolution_lost": t_lost,
+        "stopped_before_bound": (t_lost < bound) if t_lost is not None else None,
     })
     return payload
 

@@ -110,19 +110,48 @@ class EnergyScalars:
     s_rhoxx2: float
 
 
-def energy_scalars(s: State, p: ModelParams, g: Grid) -> EnergyScalars:
-    u, rho = s.u, s.rho
-    ux = g.derivative(u, 1)
-    uxxx = g.derivative(u, 3)
-    m = g.helmholtz(u)
-    mx = g.derivative(m, 1)
-    rhox = g.derivative(rho, 1)
-    rhoxx = g.derivative(rho, 2)
+@dataclass(frozen=True)
+class _Spectral:
+    """The two spectra of one state and the fields derived from them."""
+
+    uh: np.ndarray
+    rh: np.ndarray
+    ux: np.ndarray
+    uxx: np.ndarray
+    uxxx: np.ndarray
+    m: np.ndarray
+    mx: np.ndarray
+    rhox: np.ndarray
+    rhoxx: np.ndarray
+
+
+def _spectral(s: State, g: Grid) -> _Spectral:
+    """One rfft of u and one of rho; every derivative is a multiplier away."""
+    rfft, irfft, d = np.fft.rfft, np.fft.irfft, g.deriv_mult
+    uh = rfft(s.u)
+    rh = rfft(s.rho)
+    mh = uh * g.helm
+    return _Spectral(
+        uh=uh,
+        rh=rh,
+        ux=irfft(uh * d[1], n=g.N),
+        uxx=irfft(uh * d[2], n=g.N),
+        uxxx=irfft(uh * d[3], n=g.N),
+        m=irfft(mh, n=g.N),
+        mx=irfft(mh * g.ik, n=g.N),
+        rhox=irfft(rh * d[1], n=g.N),
+        rhoxx=irfft(rh * d[2], n=g.N),
+    )
+
+
+def _energy_scalars(f: _Spectral, rho: np.ndarray, p: ModelParams,
+                    g: Grid) -> EnergyScalars:
+    ux, uxxx, m, rhox, rhoxx = f.ux, f.uxxx, f.m, f.rhox, f.rhoxx
     I = g.integrate
     k1, k2, k3 = p.k1, p.k2, p.k3
     return EnergyScalars(
         i_m2=I(m**2),
-        i_mx2=I(mx**2),
+        i_mx2=I(f.mx**2),
         i_rho2=I(rho**2),
         i_rhox2=I(rhox**2),
         i_rhoxx2=I(rhoxx**2),
@@ -133,6 +162,10 @@ def energy_scalars(s: State, p: ModelParams, g: Grid) -> EnergyScalars:
         s_rhoxx2=5.0 * k3 * I(ux * rhoxx**2)
         + k3 * I(uxxx * (2.0 * rho * rhoxx - 3.0 * rhox**2)),
     )
+
+
+def energy_scalars(s: State, p: ModelParams, g: Grid) -> EnergyScalars:
+    return _energy_scalars(_spectral(s, g), s.rho, p, g)
 
 
 def _mirror(f: np.ndarray) -> np.ndarray:
@@ -166,12 +199,16 @@ def make_record(
     transport_res: float = math.nan,
     qx_min: float = math.nan,
 ) -> DiagRecord:
-    """Evaluate all per-time diagnostics of one state."""
+    """Evaluate all per-time diagnostics of one state.
+
+    Every spectral quantity comes from one rfft of u and one of rho
+    (nine transforms), plus one forward and one inverse transform for
+    the nonlocal source at the origin.
+    """
     u, rho = s.u, s.rho
-    ux = g.derivative(u, 1)
-    uxx = g.derivative(u, 2)
-    rhox = g.derivative(rho, 1)
-    es = energy_scalars(s, p, g)
+    f = _spectral(s, g)
+    ux = f.ux
+    es = _energy_scalars(f, rho, p, g)
     j0 = g.origin_index
     # p * [(k1/2)u^2 + ((3-k1)/2)u_x^2 + (k2/2)rho^2] at the origin;
     # products left un-dealiased so the integrand is pointwise >= 0
@@ -183,19 +220,19 @@ def make_record(
         step=step,
         t=s.t,
         dt=dt,
-        l2_u=math.sqrt(max(0.0, g.sobolev_norm_sq(u, 0.0))),
-        hs_u=math.sqrt(max(0.0, g.sobolev_norm_sq(u, hs_order))),
-        hsm1_rho=math.sqrt(max(0.0, g.sobolev_norm_sq(rho, hs_order - 1.0))),
+        l2_u=math.sqrt(max(0.0, g.spectrum_norm_sq(f.uh, 0.0))),
+        hs_u=math.sqrt(max(0.0, g.spectrum_norm_sq(f.uh, hs_order))),
+        hsm1_rho=math.sqrt(max(0.0, g.spectrum_norm_sq(f.rh, hs_order - 1.0))),
         min_ux=float(np.min(ux)),
         max_ux=float(np.max(ux)),
         sup_rho=float(np.max(np.abs(rho))),
-        sup_rhox=float(np.max(np.abs(rhox))),
+        sup_rhox=float(np.max(np.abs(f.rhox))),
         e1=es.i_m2 + es.i_mx2 + es.i_rho2 + es.i_rhox2 + es.i_rhoxx2,
         e2=es.i_m2 + es.i_rho2 + es.i_rhox2,
         int_rho=g.integrate(rho),
         u0=float(u[j0]),
         ux0=float(ux[j0]),
-        uxx0=float(uxx[j0]),
+        uxx0=float(f.uxx[j0]),
         rho0=float(rho[j0]),
         conv0=conv0,
         i_m2=es.i_m2,

@@ -11,6 +11,16 @@ through m = u - u_xx.  The density tendency is kept in conservative
 form (a perfect x-derivative), so the semi-discretization preserves
 int rho dx exactly: a spectral derivative has zero mean bin by
 construction.
+
+The operator is one spectral pass of 7 real FFTs.  Projection by the
+2/3 rule (Orszag, J. Atmos. Sci. 28 (1971) 1074) and the multipliers
+i kappa and i kappa / (1 + kappa^2) are all linear and diagonal in
+Fourier space, so the quadratic products need one forward transform per
+group (u u_x, the nonlocal source, u rho) and each tendency one
+truncation and one inverse transform:
+
+    rfft u -> irfft u_x;  rfft u u_x, rfft source, rfft u rho;
+    irfft du, irfft drho.
 """
 
 from __future__ import annotations
@@ -34,8 +44,11 @@ class State:
 
 @dataclass(eq=False)
 class Tendency:
+    """Time derivatives of (u, rho), and the u_x of the evaluated state."""
+
     du: np.ndarray
     drho: np.ndarray
+    ux: np.ndarray
 
 
 # overflow is reported by the isfinite gate below, not by numpy warnings
@@ -43,24 +56,29 @@ class Tendency:
 def eval_rhs(s: State, p: ModelParams, g: Grid, dealias: bool = True) -> Tendency:
     """Evaluate the nonlocal-form tendency of (u, rho).
 
-    Quadratic products are formed pointwise; with dealias=True each
-    product is projected by the 2/3 rule before any further spectral
-    operation, which removes the aliasing error of quadratic terms.
-    A non-finite result raises FloatingPointError so the stepper can
-    treat it as blow-up evidence rather than propagate garbage.
+    Quadratic products are formed pointwise; with dealias=True every
+    mode above N/3 of each tendency is dropped before its inverse
+    transform (the 2/3 rule), which removes the aliasing error of the
+    quadratic terms.  u_x is the spectral derivative exactly as
+    Grid.derivative computes it.  A non-finite result raises
+    FloatingPointError so the stepper can treat it as blow-up evidence
+    rather than propagate garbage.
     """
     u, rho = s.u, s.rho
-    ux = g.derivative(u, 1)
-    da = g.dealias if dealias else (lambda f: f)
-    advect = da(u * ux)
-    source = (0.5 * p.k1) * da(u * u) \
-        + (0.5 * (3.0 - p.k1)) * da(ux * ux) \
-        + (0.5 * p.k2) * da(rho * rho)
-    du = advect + g.dx_helmholtz_inv(source)
-    drho = p.k3 * g.derivative(da(u * rho), 1)
+    rfft, irfft = np.fft.rfft, np.fft.irfft
+    ux = irfft(rfft(u) * g.ik, n=g.N)
+    source = (0.5 * p.k1) * (u * u) + (0.5 * (3.0 - p.k1)) * (ux * ux) \
+        + (0.5 * p.k2) * (rho * rho)
+    du_h = rfft(u * ux) + g.dx_helm_inv * rfft(source)
+    drho_h = (p.k3 * g.ik) * rfft(u * rho)
+    if dealias:
+        du_h[g.n_keep:] = 0.0
+        drho_h[g.n_keep:] = 0.0
+    du = irfft(du_h, n=g.N)
+    drho = irfft(drho_h, n=g.N)
     if not (np.all(np.isfinite(du)) and np.all(np.isfinite(drho))):
         raise FloatingPointError("non-finite tendency (overflow)")
-    return Tendency(du=du, drho=drho)
+    return Tendency(du=du, drho=drho, ux=ux)
 
 
 def momentum(s: State, g: Grid) -> np.ndarray:

@@ -65,12 +65,22 @@ class Grid:
         self.x = -self.L + self.dx * np.arange(self.N)
         # rfft layout: kappa_n = n*pi/L for n = 0 .. N/2
         self.k = 2.0 * np.pi * np.fft.rfftfreq(self.N, d=self.dx)
-        self._ik = 1j * self.k
-        self._helm = 1.0 + self.k**2
-        self._dx_helm_inv = self._ik / self._helm
-        # 2/3 rule: quadratic products are clean if modes above N/3 are dropped
-        self._dealias_keep = np.arange(self.k.size) <= self.N // 3
-        self._tail = self._dealias_keep & (np.arange(self.k.size) > self.N // 6)
+        # Fourier multipliers, shared by every operator that applies them.
+        # Odd-order derivatives drop the Nyquist coefficient so the output
+        # of the real transform stays real-symmetric.
+        ik = 1j * self.k
+        self.deriv_mult = {order: ik**order for order in (1, 2, 3)}
+        self.deriv_mult[1][-1] = 0.0
+        self.deriv_mult[3][-1] = 0.0
+        self.ik = self.deriv_mult[1]
+        self.helm = 1.0 + self.k**2
+        self.dx_helm_inv = ik / self.helm
+        self.dx_helm_inv[-1] = 0.0
+        # 2/3 rule: quadratic products are clean if modes n >= n_keep
+        # (above N/3) are dropped
+        self.n_keep = self.N // 3 + 1
+        n = np.arange(self.k.size)
+        self._tail = (n < self.n_keep) & (n > self.N // 6)
         self._kernel_fft: dict[Kernel, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -105,33 +115,28 @@ class Grid:
         f = self.check_field(f)
         if not np.all(np.isfinite(f)):
             raise FloatingPointError("non-finite field passed to derivative")
-        fh = np.fft.rfft(f) * self._ik**order
-        if order % 2 == 1:
-            fh[-1] = 0.0
-        return np.fft.irfft(fh, n=self.N)
+        return np.fft.irfft(np.fft.rfft(f) * self.deriv_mult[order], n=self.N)
 
     def helmholtz(self, f: np.ndarray) -> np.ndarray:
         """(1 - dx^2) f as the multiplier 1 + kappa^2."""
         f = self.check_field(f)
-        return np.fft.irfft(np.fft.rfft(f) * self._helm, n=self.N)
+        return np.fft.irfft(np.fft.rfft(f) * self.helm, n=self.N)
 
     def helmholtz_inv(self, f: np.ndarray) -> np.ndarray:
         """(1 - dx^2)^{-1} f; the periodic surrogate for p * f."""
         f = self.check_field(f)
-        return np.fft.irfft(np.fft.rfft(f) / self._helm, n=self.N)
+        return np.fft.irfft(np.fft.rfft(f) / self.helm, n=self.N)
 
     def dx_helmholtz_inv(self, f: np.ndarray) -> np.ndarray:
         """dx (1 - dx^2)^{-1} f, multiplier i*kappa/(1 + kappa^2)."""
         f = self.check_field(f)
-        fh = np.fft.rfft(f) * self._dx_helm_inv
-        fh[-1] = 0.0
-        return np.fft.irfft(fh, n=self.N)
+        return np.fft.irfft(np.fft.rfft(f) * self.dx_helm_inv, n=self.N)
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """Orthogonal projection dropping modes above N/3 (2/3 rule)."""
         f = self.check_field(f)
         fh = np.fft.rfft(f)
-        fh[~self._dealias_keep] = 0.0
+        fh[self.n_keep:] = 0.0
         return np.fft.irfft(fh, n=self.N)
 
     # ------------------------------------------------------------------
@@ -167,12 +172,13 @@ class Grid:
         Normalized so s = 0 reproduces the trapezoid integral of f^2
         over the period (discrete Parseval).
         """
+        return self.spectrum_norm_sq(np.fft.rfft(self.check_field(f)), s)
+
+    def spectrum_norm_sq(self, fh: np.ndarray, s: float) -> float:
+        """sobolev_norm_sq of the field whose rfft is fh."""
         if not np.isfinite(s):
             raise ValueError("Sobolev index s must be finite")
-        f = self.check_field(f)
-        fh = np.fft.rfft(f)
-        w = self._helm**s
-        power = w * np.abs(fh) ** 2
+        power = self.helm**s * np.abs(fh) ** 2
         total = power[0] + 2.0 * np.sum(power[1:-1]) + power[-1]
         return float(2.0 * self.L * total / self.N**2)
 

@@ -142,38 +142,43 @@ def step_rk4(
 ):
     """One classical RK4 step; optionally returns the four stage fields.
 
-    Stage fields (t, u) at offsets (0, dt/2, dt/2, dt) are what the
-    characteristic ODE needs to advance through the same interval.
+    Stage fields (t, u, u_x) at offsets (0, dt/2, dt/2, dt) are what the
+    characteristic ODE needs to advance through the same interval; u_x
+    is the one each stage's tendency computed.
     Overflow in any stage raises OverflowSignal with the stage index.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     t, u, rho = s.t, s.u, s.rho
+    stages = []
 
-    def rhs(ui, rhoi, stage):
+    def rhs(ti, ui, rhoi, stage):
+        """(du, drho) of one stage; its u_x is kept only when collected."""
         try:
-            return eval_rhs(State(t=t, u=ui, rho=rhoi), p, g, dealias=dealias)
+            k = eval_rhs(State(t=t, u=ui, rho=rhoi), p, g, dealias=dealias)
         except FloatingPointError as exc:
             raise OverflowSignal(stage, t) from exc
+        if collect_stages:
+            stages.append((ti, ui, k.ux))
+        return k.du, k.drho
 
-    k1 = rhs(u, rho, 0)
-    u2 = u + 0.5 * dt * k1.du
-    r2 = rho + 0.5 * dt * k1.drho
-    k2 = rhs(u2, r2, 1)
-    u3 = u + 0.5 * dt * k2.du
-    r3 = rho + 0.5 * dt * k2.drho
-    k3 = rhs(u3, r3, 2)
-    u4 = u + dt * k3.du
-    r4 = rho + dt * k3.drho
-    k4 = rhs(u4, r4, 3)
+    du1, dr1 = rhs(t, u, rho, 0)
+    u2 = u + 0.5 * dt * du1
+    r2 = rho + 0.5 * dt * dr1
+    du2, dr2 = rhs(t + 0.5 * dt, u2, r2, 1)
+    u3 = u + 0.5 * dt * du2
+    r3 = rho + 0.5 * dt * dr2
+    du3, dr3 = rhs(t + 0.5 * dt, u3, r3, 2)
+    u4 = u + dt * du3
+    r4 = rho + dt * dr3
+    du4, dr4 = rhs(t + dt, u4, r4, 3)
 
-    u_new = u + (dt / 6.0) * (k1.du + 2.0 * k2.du + 2.0 * k3.du + k4.du)
-    rho_new = rho + (dt / 6.0) * (k1.drho + 2.0 * k2.drho + 2.0 * k3.drho + k4.drho)
+    u_new = u + (dt / 6.0) * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
+    rho_new = rho + (dt / 6.0) * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(rho_new))):
         raise OverflowSignal(4, t)
     out = State(t=t + dt, u=u_new, rho=rho_new)
     if collect_stages:
-        stages = [(t, u), (t + 0.5 * dt, u2), (t + 0.5 * dt, u3), (t + dt, u4)]
         return out, stages
     return out
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from bfamily2c import CaseTag, Grid, make_params
+from bfamily2c import (CaseTag, DiagRecord, Grid, State, SymmetryMode,
+                       Tendency, make_params, symmetry_residual)
 
 
 @pytest.fixture
@@ -37,3 +40,75 @@ def _dense_interpolate(g: Grid, f: np.ndarray, points: np.ndarray) -> np.ndarray
 @pytest.fixture
 def dense_interpolate():
     return _dense_interpolate
+
+
+def _reference_rhs(s: State, p, g: Grid, dealias: bool = True) -> Tendency:
+    """The nonlocal-form tendency as five separately dealiased products.
+
+    eval_rhs composed the operator this way (16 FFTs) before it became
+    one spectral pass; it stays here as that pass's reference.
+    """
+    u, rho = s.u, s.rho
+    ux = g.derivative(u, 1)
+    da = g.dealias if dealias else (lambda f: f)
+    source = (0.5 * p.k1) * da(u * u) \
+        + (0.5 * (3.0 - p.k1)) * da(ux * ux) \
+        + (0.5 * p.k2) * da(rho * rho)
+    du = da(u * ux) + g.dx_helmholtz_inv(source)
+    drho = p.k3 * g.derivative(da(u * rho), 1)
+    return Tendency(du=du, drho=drho, ux=ux)
+
+
+def _reference_record(s: State, dt: float, p, g: Grid, step: int = 0,
+                      hs_order: float = 2.0,
+                      symmetry_mode: SymmetryMode | None = None) -> DiagRecord:
+    """make_record with every quantity taken by its own Grid operator.
+
+    This is how records were built before they came from one rfft of u
+    and one of rho (23 FFTs): the reference for the shared-spectrum one.
+    """
+    u, rho = s.u, s.rho
+    I = g.integrate
+    ux, uxx, uxxx = (g.derivative(u, k) for k in (1, 2, 3))
+    m = g.helmholtz(u)
+    mx = g.derivative(m, 1)
+    rhox, rhoxx = g.derivative(rho, 1), g.derivative(rho, 2)
+    k1, k2, k3 = p.k1, p.k2, p.k3
+    i_m2, i_mx2, i_rho2 = I(m**2), I(mx**2), I(rho**2)
+    i_rhox2, i_rhoxx2 = I(rhox**2), I(rhoxx**2)
+    j0 = g.origin_index
+    source = (0.5 * k1) * u**2 + (0.5 * (3.0 - k1)) * ux**2 + (0.5 * k2) * rho**2
+    return DiagRecord(
+        step=step, t=s.t, dt=dt,
+        l2_u=math.sqrt(g.sobolev_norm_sq(u, 0.0)),
+        hs_u=math.sqrt(g.sobolev_norm_sq(u, hs_order)),
+        hsm1_rho=math.sqrt(g.sobolev_norm_sq(rho, hs_order - 1.0)),
+        min_ux=float(np.min(ux)), max_ux=float(np.max(ux)),
+        sup_rho=float(np.max(np.abs(rho))),
+        sup_rhox=float(np.max(np.abs(rhox))),
+        e1=i_m2 + i_mx2 + i_rho2 + i_rhox2 + i_rhoxx2,
+        e2=i_m2 + i_rho2 + i_rhox2,
+        int_rho=I(rho),
+        u0=float(u[j0]), ux0=float(ux[j0]), uxx0=float(uxx[j0]),
+        rho0=float(rho[j0]),
+        conv0=float(g.helmholtz_inv(source)[j0]),
+        i_m2=i_m2, i_rho2=i_rho2, i_rhox2=i_rhox2, i_rhoxx2=i_rhoxx2,
+        s_m2=(2.0 * k1 - 1.0) * I(m**2 * ux) - k2 * I(ux * rho**2)
+        + k2 * I(uxxx * rho**2),
+        s_rho2=k3 * I(ux * rho**2),
+        s_rhox2=3.0 * k3 * I(ux * rhox**2) - k3 * I(uxxx * rho**2),
+        s_rhoxx2=5.0 * k3 * I(ux * rhoxx**2)
+        + k3 * I(uxxx * (2.0 * rho * rhoxx - 3.0 * rhox**2)),
+        symmetry_res=(math.nan if symmetry_mode is None
+                      else symmetry_residual(s, symmetry_mode, g)),
+    )
+
+
+@pytest.fixture
+def reference_rhs():
+    return _reference_rhs
+
+
+@pytest.fixture
+def reference_record():
+    return _reference_record

@@ -10,8 +10,8 @@ from bfamily2c import (CaseTag, DiagSettings, Grid, InitKind, InitSpec,
 
 
 def constant_stages(g, dt, value):
-    u = np.full(g.N, value)
-    return [(0.0, u), (dt / 2, u), (dt / 2, u), (dt, u)]
+    u, ux = np.full(g.N, value), np.zeros(g.N)
+    return [(0.0, u, ux), (dt / 2, u, ux), (dt / 2, u, ux), (dt, u, ux)]
 
 
 def flat(g):

@@ -1,13 +1,15 @@
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from bfamily2c import CaseTag, Framework, InitKind, SymmetryMode
-from bfamily2c.cli import (ConfigError, config_echo, main, parse_config,
-                           read_records, write_diagnostics_csv,
-                           write_extras_csv)
+from bfamily2c import (CaseTag, Framework, InitKind, RunReport, RunStatus,
+                       SymmetryMode, make_params)
+from bfamily2c.cli import (SWEEP_COLUMNS, ConfigError, config_echo, main,
+                           parse_config, read_records, slope_bound_payload,
+                           write_diagnostics_csv, write_extras_csv)
 from bfamily2c.diagnostics import DIAG_COLUMNS
 
 
@@ -261,3 +263,30 @@ def test_sweep_rejects_custom_case(tmp_path):
                     "rho": {"kind": "gaussian"}},
     }
     assert main(["sweep", str(write_config(tmp_path, cfg))]) == 2
+
+
+# ----------------------------------------------------------------------
+# slope-breakdown payload
+
+@pytest.mark.parametrize("t_final, before", [(0.98, True), (2.5, False)])
+def test_slope_payload_reports_resolution_stop(t_final, before):
+    # case_i b=2: k1 = 2, so the bound from u0'(0) = 1 is 2
+    p = make_params(CaseTag.CASE_I, 2.0)
+    records = [SimpleNamespace(ux0=1.0)]
+    report = RunReport(status=RunStatus.RESOLUTION_LOST, t_final=t_final,
+                       n_steps=100)
+    payload = slope_bound_payload(records, p, report)
+    assert payload["bound"] == 2.0
+    # a resolution stop is not a detection
+    assert payload["t_detected"] is None and payload["respected"] is None
+    assert payload["t_resolution_lost"] == t_final
+    assert payload["stopped_before_bound"] is before
+
+
+def test_slope_payload_without_resolution_stop():
+    p = make_params(CaseTag.CASE_I, 2.0)
+    report = RunReport(status=RunStatus.REACHED_T_END, t_final=1.0, n_steps=9)
+    payload = slope_bound_payload([SimpleNamespace(ux0=1.0)], p, report)
+    assert payload["t_resolution_lost"] is None
+    assert payload["stopped_before_bound"] is None
+    assert "t_resolution_lost" not in SWEEP_COLUMNS

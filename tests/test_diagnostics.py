@@ -1,10 +1,11 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bfamily2c import (Branch, CaseTag, Grid, State, SymmetryMode,
+from bfamily2c import (Branch, CaseTag, DiagRecord, Grid, State, SymmetryMode,
                        conservation_check, custom_params, energy_scalars,
                        gronwall_check_h2, h3_energy_check, make_params,
                        make_record, riccati_check, symmetry_residual)
@@ -254,3 +255,20 @@ def test_conservation_check_rel_denominator():
     res = conservation_check(recs)
     assert not res.ok
     assert res.rel_drift == pytest.approx(0.5e-11, rel=1e-6)
+
+
+@pytest.mark.parametrize("N", [64, 1024, 4096])
+def test_record_matches_per_quantity_reference(N, rng, reference_record):
+    g = Grid(20.0, N)
+    p = make_params(CaseTag.CASE_I, 2.0)
+    states = [State(0.25, g.x / 2 * np.exp(-g.x**2 / 4), 0.5 * np.exp(-g.x**2 / 4)),
+              State(0.5, rng.standard_normal(N), rng.standard_normal(N))]
+    for s in states:
+        got = make_record(s, 0.01, p, g, step=3, hs_order=2.5,
+                          symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
+        want = reference_record(s, 0.01, p, g, step=3, hs_order=2.5,
+                                symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
+        for f in dataclasses.fields(DiagRecord):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert (math.isnan(a) and math.isnan(b)) \
+                or math.isclose(a, b, rel_tol=1e-12), f.name

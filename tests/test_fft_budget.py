@@ -1,0 +1,54 @@
+"""Exact FFT counts of the spectral hot paths.
+
+numpy's real transforms are wrapped with counters, so a change that
+adds a transform fails here on any machine, independent of timing.
+"""
+
+import numpy as np
+import pytest
+
+from bfamily2c import (State, advance_characteristics, eval_rhs,
+                       init_characteristics, make_record, step_rk4)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        real = getattr(np.fft, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def _state(g):
+    return State(0.0, g.x / 2 * np.exp(-g.x**2), 0.5 * np.exp(-g.x**2))
+
+
+def test_eval_rhs_takes_seven_transforms(grid20, params_b2, fft_calls):
+    eval_rhs(_state(grid20), params_b2, grid20)
+    # u, u u_x, source, u rho forward; u_x, du, drho inverse
+    assert fft_calls == {"rfft": 4, "irfft": 3}
+
+
+def test_record_takes_eleven_transforms(grid20, params_b2, fft_calls):
+    make_record(_state(grid20), 0.0, params_b2, grid20)
+    # u and rho forward, seven derived fields inverse, and the
+    # Helmholtz solve of the source for conv0
+    assert fft_calls == {"rfft": 3, "irfft": 8}
+
+
+def test_characteristic_advance_reuses_stage_slopes(grid20, params_b2,
+                                                    fft_calls):
+    s = _state(grid20)
+    c = init_characteristics(s.rho, params_b2, grid20)
+    _, stages = step_rk4(s, 1e-2, params_b2, grid20, collect_stages=True)
+    before = dict(fft_calls)
+    advance_characteristics(c, stages, params_b2, grid20, 1e-2)
+    # one stacked (u, u_x) interpolation per stage, no derivative
+    assert fft_calls["rfft"] - before["rfft"] == 4
+    assert fft_calls["irfft"] == before["irfft"]

@@ -103,6 +103,9 @@ def test_step_rk4_collect_stages(grid20, params_b2):
     assert stages[1][0] == stages[2][0] == 0.5e-2
     assert stages[3][0] == 1e-2
     assert np.array_equal(stages[0][1], s.u)
+    # each stage's u_x is the one its tendency computed, bit for bit
+    for _, u, ux in stages:
+        assert np.array_equal(ux, grid20.derivative(u, 1))
     assert out.t == 1e-2
 
 
