@@ -144,7 +144,13 @@ def _check_variant(variant, ts, sup_rho, rate, slack):
     return RhoBoundResult(variant, True, first_bad is None, first_bad, float(worst))
 
 
-def rho_sup_bound_check(records, p: ModelParams, slack: float = 1e-8) -> list[RhoBoundResult]:
+@dataclass(frozen=True)
+class RhoSupBoundResult:
+    ok: bool  # every applicable variant holds
+    variants: list[RhoBoundResult]
+
+
+def rho_sup_bound_check(records, p: ModelParams, slack: float = 1e-8) -> RhoSupBoundResult:
     """Verify the exponential transport bounds on sup|rho| a posteriori.
 
     Three variants, each using the running extremum of u_x over [0, t]
@@ -175,4 +181,4 @@ def rho_sup_bound_check(records, p: ModelParams, slack: float = 1e-8) -> list[Rh
     else:
         out.append(RhoBoundResult("k3_nonnegative", False, True, None, -np.inf))
     out.append(_check_variant("absolute", ts, sup_rho, abs(k3) * m_abs, slack))
-    return out
+    return RhoSupBoundResult(all(v.ok for v in out if v.applicable), out)

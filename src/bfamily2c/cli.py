@@ -8,10 +8,11 @@ Configs are JSON documents; every run directory receives
     manifest.json     full effective config, run report, check verdicts,
                       and content hashes of the CSVs
 
-`check <manifest>` re-derives every enabled verdict from the stored
-CSVs offline and fails on any mismatch or hash difference, so a
-finished run directory is self-verifying.  Exit codes: 0 success,
-1 check failure, 2 usage/config error, 3 I/O error.
+`check <manifest>` re-derives every enabled check block, field by
+field, and the report's final step and time from the stored CSVs
+offline, and fails on any difference, hash mismatch or unparsable CSV,
+so a finished run directory is self-verifying.  Exit codes: 0 success,
+1 check failure or tampering, 2 usage/config error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -25,17 +26,16 @@ import os
 import sys
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, Field, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum, EnumMeta
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .characteristics import rho_sup_bound_check
 from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, DiagRecord,
                           SymmetryMode, conservation_check, gronwall_check_h2,
-                          h3_energy_check, riccati_check)
+                          h3_energy_check, identities_check, origin_check,
+                          riccati_check, symmetry_check, transport_check)
 from .dynamics import State
 from .initdata import InitKind, InitSpec, blowup_bound, build_initial
 from .model import CaseTag, ModelParams, custom_params, make_params
@@ -80,7 +80,7 @@ def _section(cfg: dict, key: str, required: bool = True) -> dict:
 
 _KINDS = {float: ((int, float), "a number"), int: (int, "an integer"),
           bool: (bool, "a boolean"), str: (str, "a string"),
-          dict: (dict, "an object")}
+          dict: (dict, "an object"), tuple: (list, "a list")}
 
 
 def _take(sec: dict, path: str, key: str, kind, default=...):
@@ -131,16 +131,12 @@ def _build(cls, kwargs: dict, sec: dict, path: str):
 _NOT_IN_CONFIG = {"resolution_tol", "m0_spec", "table_path"}
 
 
-def _config_fields(cls) -> list[Field]:
-    return [f for f in fields(cls) if f.name not in _NOT_IN_CONFIG]
-
-
 def _take_fields(cls, sec: dict, path: str) -> dict:
     """Pop every config field of dataclass `cls`, typed and defaulted by it."""
     hints = typing.get_type_hints(cls)
     return {f.name: _take(sec, path, f.name, hints[f.name],
                           ... if f.default is MISSING else f.default)
-            for f in _config_fields(cls)}
+            for f in fields(cls) if f.name not in _NOT_IN_CONFIG}
 
 
 def _parse_section(cls, cfg: dict, key: str, required: bool = True):
@@ -150,8 +146,7 @@ def _parse_section(cls, cfg: dict, key: str, required: bool = True):
 
 def _echo(obj) -> dict:
     """The config fields of dataclass `obj`, enums by value."""
-    vals = {f.name: getattr(obj, f.name) for f in _config_fields(obj)}
-    return {k: v.value if isinstance(v, Enum) else v for k, v in vals.items()}
+    return _serial(obj, skip=_NOT_IN_CONFIG)
 
 
 def _parse_model(cfg: dict) -> ModelParams:
@@ -301,128 +296,47 @@ def config_echo(setup: RunSetup) -> dict:
 # ----------------------------------------------------------------------
 # check evaluation (shared by `run` and offline `check`)
 
-def _finite_max(vals) -> float:
-    arr = np.asarray(vals, dtype=float)
-    arr = arr[np.isfinite(arr)]
-    return float(np.max(arr)) if arr.size else math.nan
+def _check_block(res) -> dict:
+    return {"enabled": True, "passed": res.ok, **_serial(res, skip=("ok",))}
+
+
+# one row per CheckSettings flag, in manifest order
+_CHECKS = {
+    "conservation": lambda r, p, cs: conservation_check(r, cs.conservation_tol),
+    "gronwall": lambda r, p, cs: gronwall_check_h2(r, p, cs.gronwall_slack),
+    "rho_bound": lambda r, p, cs: rho_sup_bound_check(r, p, cs.rho_bound_slack),
+    "transport": lambda r, p, cs: transport_check(r, cs.transport_tol),
+    "identities": lambda r, p, cs: identities_check(r, cs.identity_rel_tol),
+    "symmetry": lambda r, p, cs: symmetry_check(r, cs.symmetry_mode, cs.symmetry_tol),
+    "origin": lambda r, p, cs: origin_check(r, cs.origin_tol),
+    "riccati": lambda r, p, cs: riccati_check(r, p, cs.riccati_tol_coeff),
+    "h3_energy": lambda r, p, cs: h3_energy_check(r, p, cs.gronwall_slack),
+}
 
 
 def evaluate_checks(records: list[DiagRecord], p: ModelParams,
                     cs: CheckSettings) -> dict:
     """Run every enabled a-posteriori check over the records."""
-    out: dict = {}
-
-    res = conservation_check(records, cs.conservation_tol)
-    out["conservation"] = {
-        "enabled": cs.conservation, "passed": res.ok if cs.conservation else None,
-        "baseline": res.baseline, "max_abs_drift": res.max_abs_drift,
-        "rel_drift": res.rel_drift,
-    }
-
-    if cs.gronwall:
-        gr = gronwall_check_h2(records, p, cs.gronwall_slack)
-        out["gronwall"] = {
-            "enabled": True, "passed": gr.ok, "branch": gr.branch.value,
-            "boundary_overlap": gr.boundary_overlap, "m1": gr.m1, "c": gr.c,
-            "first_violation_t": gr.first_violation_t,
-            "worst_ratio": gr.worst_ratio,
-        }
-    else:
-        out["gronwall"] = {"enabled": False, "passed": None}
-
-    if cs.rho_bound:
-        variants = rho_sup_bound_check(records, p, cs.rho_bound_slack)
-        out["rho_bound"] = {
-            "enabled": True,
-            "passed": all(v.ok for v in variants if v.applicable),
-            "variants": [
-                {"variant": v.variant, "applicable": v.applicable, "ok": v.ok,
-                 "first_violation_t": v.first_violation_t,
-                 "worst_margin": v.worst_margin if math.isfinite(v.worst_margin)
-                 else None}
-                for v in variants
-            ],
-        }
-    else:
-        out["rho_bound"] = {"enabled": False, "passed": None}
-
-    if cs.transport:
-        worst = _finite_max([r.transport_res for r in records])
-        qx_min = min((r.qx_min for r in records if math.isfinite(r.qx_min)),
-                     default=math.nan)
-        ok = (math.isfinite(worst) and worst <= cs.transport_tol
-              and math.isfinite(qx_min) and qx_min > 0.0)
-        out["transport"] = {"enabled": True, "passed": ok,
-                            "max_residual": worst, "qx_min": qx_min,
-                            "tol": cs.transport_tol}
-    else:
-        out["transport"] = {"enabled": False, "passed": None}
-
-    if cs.identities:
-        details = {}
-        ok = True
-        for name, r_attr, s_attr in (("m2", "r_m2", "s_m2"),
-                                     ("rho2", "r_rho2", "s_rho2"),
-                                     ("rhox2", "r_rhox2", "s_rhox2"),
-                                     ("rhoxx2", "r_rhoxx2", "s_rhoxx2")):
-            res_max = max(getattr(r, r_attr) for r in records)
-            scale = max(abs(getattr(r, s_attr)) for r in records)
-            rel = res_max / scale if scale > 0.0 else (0.0 if res_max == 0.0
-                                                       else math.inf)
-            details[name] = {"max_residual": res_max, "scale": scale,
-                             "rel_residual": rel}
-            ok = ok and rel <= cs.identity_rel_tol
-        out["identities"] = {"enabled": True, "passed": ok,
-                             "rel_tol": cs.identity_rel_tol, **details}
-    else:
-        out["identities"] = {"enabled": False, "passed": None}
-
-    if cs.symmetry:
-        worst = _finite_max([r.symmetry_res for r in records])
-        ok = math.isfinite(worst) and worst <= cs.symmetry_tol
-        out["symmetry"] = {"enabled": True, "passed": ok,
-                           "max_residual": worst, "tol": cs.symmetry_tol,
-                           "mode": cs.symmetry_mode.value}
-    else:
-        out["symmetry"] = {"enabled": False, "passed": None}
-
-    if cs.origin:
-        worst = max(max(abs(r.u0), abs(r.uxx0), abs(r.rho0)) for r in records)
-        out["origin"] = {"enabled": True, "passed": worst <= cs.origin_tol,
-                         "max_value": worst, "tol": cs.origin_tol}
-    else:
-        out["origin"] = {"enabled": False, "passed": None}
-
-    if cs.riccati:
-        rc = riccati_check(records, p, cs.riccati_tol_coeff)
-        out["riccati"] = {
-            "enabled": True, "passed": rc.ok_derivative and rc.ok_reciprocal,
-            "ok_derivative": rc.ok_derivative,
-            "derivative_first_violation_t": rc.derivative_first_violation_t,
-            "ok_reciprocal": rc.ok_reciprocal,
-            "reciprocal_first_violation_t": rc.reciprocal_first_violation_t,
-            "t0": rc.t0, "h0": rc.h0,
-            "increasing_until_t": rc.increasing_until_t,
-        }
-    else:
-        out["riccati"] = {"enabled": False, "passed": None}
-
-    if cs.h3_energy:
-        h3 = h3_energy_check(records, p, cs.gronwall_slack)
-        out["h3_energy"] = {
-            "enabled": True, "passed": h3.ok, "applicable": h3.applicable,
-            "branch": h3.branch.value, "m1": h3.m1, "m2": h3.m2, "c": h3.c,
-            "first_violation_t": h3.first_violation_t,
-            "worst_ratio": h3.worst_ratio,
-        }
-    else:
-        out["h3_energy"] = {"enabled": False, "passed": None}
-
-    return out
+    return {name: _check_block(check(records, p, cs)) if getattr(cs, name)
+            else {"enabled": False, "passed": None}
+            for name, check in _CHECKS.items()}
 
 
 def checks_all_passed(checks: dict) -> bool:
     return all(v["passed"] for v in checks.values() if v["enabled"])
+
+
+@dataclass(frozen=True)
+class SlopeBound:
+    """Wave-breaking upper bound 2/((k1-1) u0'(0)) against the run's end."""
+
+    applicable: bool  # 1 < k1 <= 3, k2 >= 0 and u0'(0) > 0
+    u0_prime_at_zero: float
+    bound: float | None
+    t_detected: float | None
+    respected: bool | None  # t_detected <= bound
+    t_resolution_lost: float | None
+    stopped_before_bound: bool | None  # t_resolution_lost < bound
 
 
 def slope_bound_payload(records: list[DiagRecord], p: ModelParams,
@@ -435,25 +349,17 @@ def slope_bound_payload(records: list[DiagRecord], p: ModelParams,
     """
     h0 = records[0].ux0
     applicable = (1.0 < p.k1 <= 3.0) and p.k2 >= 0.0 and h0 > 0.0
+    bound = blowup_bound(p, h0) if applicable else None
+    t_det = (report.blowup.t_detected if applicable
+             and report.status is RunStatus.BLOW_UP_DETECTED else None)
     t_lost = (report.t_final
               if report.status is RunStatus.RESOLUTION_LOST else None)
-    payload: dict = {"applicable": applicable, "u0_prime_at_zero": h0}
-    if not applicable:
-        payload.update({"bound": None, "t_detected": None, "respected": None,
-                        "t_resolution_lost": t_lost,
-                        "stopped_before_bound": None})
-        return payload
-    bound = blowup_bound(p, h0)
-    t_det = (report.blowup.t_detected
-             if report.status is RunStatus.BLOW_UP_DETECTED else None)
-    payload.update({
-        "bound": bound,
-        "t_detected": t_det,
-        "respected": (t_det <= bound) if t_det is not None else None,
-        "t_resolution_lost": t_lost,
-        "stopped_before_bound": (t_lost < bound) if t_lost is not None else None,
-    })
-    return payload
+    return _serial(SlopeBound(
+        applicable, h0, bound, t_det,
+        respected=None if t_det is None else t_det <= bound,
+        t_resolution_lost=t_lost,
+        stopped_before_bound=(None if bound is None or t_lost is None
+                              else t_lost < bound)))
 
 
 # ----------------------------------------------------------------------
@@ -499,6 +405,8 @@ def read_records(diag_path: Path, extras_path: Path) -> list[DiagRecord]:
 
     diag_rows = read_rows(diag_path, DIAG_HEADER)
     extra_rows = read_rows(extras_path, EXTRA_HEADER)
+    if not diag_rows:
+        raise ValueError(f"{diag_path} has no records")
     if len(diag_rows) != len(extra_rows):
         raise ValueError("diagnostics and extras row counts differ")
     records = []
@@ -516,6 +424,19 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _serial(obj, skip=()):
+    """A manifest value: dataclasses by field in declaration order (top-level
+    names in `skip` left out), enums by value, lists by element."""
+    if is_dataclass(obj):
+        return {f.name: _serial(getattr(obj, f.name)) for f in fields(obj)
+                if f.name not in skip}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, list):
+        return [_serial(v) for v in obj]
+    return obj
 
 
 def _jsonable(obj):
@@ -565,18 +486,7 @@ def execute_run(setup: RunSetup, out_dir: Path) -> tuple[Trajectory, RunReport, 
         "package": "bfamily2c",
         "version": __version__,
         "config": config_echo(setup),
-        "report": {
-            "status": report.status.value,
-            "t_final": report.t_final,
-            "n_steps": report.n_steps,
-            "blowup": None if report.blowup is None else {
-                "quantity": report.blowup.quantity.value,
-                "value": report.blowup.value,
-                "location_index": report.blowup.location_index,
-                "t_detected": report.blowup.t_detected,
-            },
-            "overflow_stage": report.overflow_stage,
-        },
+        "report": _serial(report),
         "slope_bound": slope_bound_payload(traj.records, setup.params, report),
         "checks": checks,
         "files": files,
@@ -618,15 +528,22 @@ def cmd_run(config_path: str, directory: str | None = None) -> int:
 
 
 def _verify_manifest(manifest_dir: Path, manifest: dict) -> tuple[bool, list[str]]:
-    """Re-derive all enabled verdicts from the stored CSVs; list mismatches."""
+    """Re-derive every enabled check from the stored CSVs; list mismatches."""
     problems: list[str] = []
     for name, digest in manifest.get("files", {}).items():
         if _sha256(manifest_dir / name) != digest:
             problems.append(f"hash mismatch for {name}")
-    records = read_records(manifest_dir / "diagnostics.csv",
-                           manifest_dir / "extras.csv")
+    try:
+        records = read_records(manifest_dir / "diagnostics.csv",
+                               manifest_dir / "extras.csv")
+    except (ValueError, TypeError) as exc:
+        return False, problems + [f"records do not parse: {exc}"]
     if len(records) != manifest.get("n_records"):
         problems.append("record count differs from manifest")
+    report = manifest["report"]
+    for key, val in (("n_steps", records[-1].step), ("t_final", records[-1].t)):
+        if report[key] != val:
+            problems.append(f"report '{key}' differs from the last record")
 
     setup = parse_config(manifest["config"])
     rederived = evaluate_checks(records, setup.params, setup.checks)
@@ -637,11 +554,17 @@ def _verify_manifest(manifest_dir: Path, manifest: dict) -> tuple[bool, list[str
             continue
         if bool(stored[name]["enabled"]) != bool(val["enabled"]):
             problems.append(f"check '{name}' enabled flag differs")
-        elif val["enabled"] and bool(stored[name]["passed"]) != bool(val["passed"]):
+            continue
+        if not val["enabled"]:
+            continue  # older manifests kept details of disabled checks
+        if bool(stored[name]["passed"]) != bool(val["passed"]):
             problems.append(f"check '{name}' verdict differs "
                             f"(stored={stored[name]['passed']}, "
                             f"recomputed={val['passed']})")
-        elif val["enabled"] and not val["passed"]:
+            continue
+        if _jsonable(val) != stored[name]:
+            problems.append(f"check '{name}' details differ from the records")
+        if not val["passed"]:
             problems.append(f"check '{name}' fails")
     return not problems, problems
 
@@ -671,6 +594,27 @@ def _num_token(v: float) -> str:
     return format(v, "g").replace(".", "p").replace("-", "m")
 
 
+@dataclass
+class SweepSettings:
+    """The `sweep` section: its runs are the product case x b x amplitude."""
+
+    case: tuple = ("case_i",)
+    b: tuple = ()
+    amplitude: tuple = (1.0,)
+
+    def __post_init__(self) -> None:
+        for i, c in enumerate(self.case):
+            if c not in (CaseTag.CASE_I.value, CaseTag.CASE_II.value):
+                raise ValueError(f"case[{i}] must be case_i or case_ii, got {c!r}")
+        for name in ("b", "amplitude"):
+            for i, v in enumerate(getattr(self, name)):
+                if not isinstance(v, (int, float)) or isinstance(v, bool):
+                    raise ValueError(f"{name}[{i}] must be a number, got {v!r}")
+        for name in ("case", "b", "amplitude"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} is empty, so the sweep has no runs")
+
+
 def _sweep_one(cfg: dict, out_dir: str) -> tuple[dict, bool]:
     """Worker: one sweep combination; returns (summary row, checks ok)."""
     setup = parse_config(cfg)
@@ -695,20 +639,11 @@ def _sweep_one(cfg: dict, out_dir: str) -> tuple[dict, bool]:
 def cmd_sweep(config_path: str) -> int:
     try:
         cfg = _load_json(config_path)
-        sweep = _section(cfg, "sweep")
-        cases = sweep.get("case", ["case_i"])
-        bs = sweep.get("b", [])
-        amps = sweep.get("amplitude", [1.0])
-        if not isinstance(cases, list) or not isinstance(bs, list) \
-                or not isinstance(amps, list):
-            raise ConfigError("sweep.case, sweep.b, sweep.amplitude must be lists")
-        for c in cases:
-            if c not in (CaseTag.CASE_I.value, CaseTag.CASE_II.value):
-                raise ConfigError(f"sweep.case entries must be case_i/case_ii, "
-                                  f"got {c!r}")
+        sweep = _parse_section(SweepSettings, cfg, "sweep")
         base_dir = Path(_section(cfg, "outputs", required=False)
                         .get("directory", "sweep_out"))
-        combos = [(c, float(b), float(a)) for c in cases for b in bs for a in amps]
+        combos = [(c, float(b), float(a)) for c in sweep.case
+                  for b in sweep.b for a in sweep.amplitude]
         jobs = []
         for case, b, amp in combos:
             sub = dict(cfg)
@@ -736,25 +671,22 @@ def cmd_sweep(config_path: str) -> int:
         return EXIT_CONFIG
 
     results: dict[tuple, tuple[dict, bool]] = {}
-    failed_runs: list[tuple] = []
     try:
         base_dir.mkdir(parents=True, exist_ok=True)
-        if jobs:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_sweep_one, sub, out): (case, b, amp)
-                    for case, b, amp, sub, out in jobs
-                }
-                for fut, key in futures.items():
-                    try:
-                        results[key] = fut.result()
-                    except Exception as exc:  # isolate per-run failures
-                        logger.error("run %s failed: %s", key, exc)
-                        failed_runs.append(key)
-                        results[key] = (dict.fromkeys(SWEEP_COLUMNS, "") | {
-                            "case": key[0], "b": _fmt(key[1]),
-                            "amplitude": _fmt(key[2]), "status": "error",
-                        }, False)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = {
+                pool.submit(_sweep_one, sub, out): (case, b, amp)
+                for case, b, amp, sub, out in jobs
+            }
+            for fut, key in futures.items():
+                try:
+                    results[key] = fut.result()
+                except Exception as exc:  # isolate per-run failures
+                    logger.error("run %s failed: %s", key, exc)
+                    results[key] = (dict.fromkeys(SWEEP_COLUMNS, "") | {
+                        "case": key[0], "b": _fmt(key[1]),
+                        "amplitude": _fmt(key[2]), "status": "error",
+                    }, False)
         summary = base_dir / "summary.csv"
         with open(summary, "w", newline="") as fh:
             fh.write(",".join(SWEEP_COLUMNS) + "\n")
@@ -765,11 +697,9 @@ def cmd_sweep(config_path: str) -> int:
         logger.error("I/O error: %s", exc)
         return EXIT_IO
 
-    all_ok = all(ok for _, ok in results.values()) and not failed_runs
-    print(f"sweep: {len(combos)} runs, "
-          f"{sum(1 for _, ok in results.values() if ok)} passed checks, "
-          f"summary at {summary if jobs else base_dir / 'summary.csv'}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    n_ok = sum(1 for _, ok in results.values() if ok)
+    print(f"sweep: {len(combos)} runs, {n_ok} passed checks, summary at {summary}")
+    return EXIT_OK if n_ok == len(combos) else EXIT_CHECK_FAILED
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,9 @@ quantities are estimated by centered differences over the recording
 grid, so identity residuals carry an O(h^2) budget in the recording
 interval h — that budget, not the solver, is the accuracy limiter the
 convergence tests measure.
+
+Each check maps the records to a frozen result whose `ok` is its
+verdict; the manifest writes the other fields in declaration order.
 """
 
 from __future__ import annotations
@@ -351,7 +354,6 @@ class GronwallResult:
     boundary_overlap: bool
     m1: float
     c: float
-    e2_initial: float
     ok: bool
     first_violation_t: float | None
     worst_ratio: float  # max over records of E2(t) / (e^{ct} E2(0))
@@ -394,15 +396,13 @@ def gronwall_check_h2(records, p: ModelParams, slack: float = 1e-8) -> GronwallR
         c = (abs(2.0 * k1 - 1.0) + abs(k3 - k2) + 3.0 * abs(k3)) * m1 \
             + _exp_term(2.0 * abs(k2 - k3) * rho0_sup, abs(k3) * m1 * T)
 
-    e2_0 = float(e2[0])
-    bounds, first_bad = _exp_envelope(ts, e2, e2_0, c, slack)
+    bounds, first_bad = _exp_envelope(ts, e2, float(e2[0]), c, slack)
     worst = max([0.0] + [v / b for v, b in zip(e2, bounds) if b > 0.0])
     return GronwallResult(
         branch=sb.branch,
         boundary_overlap=sb.boundary_overlap,
         m1=m1,
         c=c,
-        e2_initial=e2_0,
         ok=first_bad is None,
         first_violation_t=first_bad,
         worst_ratio=worst,
@@ -486,6 +486,10 @@ class RiccatiResult:
     h0: float | None
     increasing_until_t: float  # end of the initial strictly-increasing span of h
 
+    @property
+    def ok(self) -> bool:
+        return self.ok_derivative and self.ok_reciprocal
+
 
 def riccati_check(records, p: ModelParams, tol_coeff: float = 1e-4) -> RiccatiResult:
     """Verify the origin Riccati inequality on the recorded h = u_x(t,0).
@@ -553,3 +557,86 @@ def conservation_check(records, rel_tol: float = 1e-12) -> ConservationResult:
     drift = float(np.max(np.abs(vals - base)))
     rel = drift / max(abs(base), 1.0)
     return ConservationResult(rel <= rel_tol, base, drift, rel)
+
+
+def _finite_max(vals) -> float:
+    arr = np.asarray(vals, dtype=float)
+    arr = arr[np.isfinite(arr)]
+    return float(np.max(arr)) if arr.size else math.nan
+
+
+@dataclass(frozen=True)
+class TransportResult:
+    ok: bool
+    max_residual: float  # max finite transport_res, nan if none
+    qx_min: float  # min finite Jacobian floor, nan if none
+    tol: float
+
+
+def transport_check(records, tol: float = 1e-6) -> TransportResult:
+    """Transport invariant within tol, and the flow map still increasing."""
+    worst = _finite_max([r.transport_res for r in records])
+    qx_min = min((r.qx_min for r in records if math.isfinite(r.qx_min)),
+                 default=math.nan)
+    ok = (math.isfinite(worst) and worst <= tol
+          and math.isfinite(qx_min) and qx_min > 0.0)
+    return TransportResult(ok, worst, qx_min, tol)
+
+
+@dataclass(frozen=True)
+class IdentityResidual:
+    max_residual: float
+    scale: float  # max |right side| over the records
+    rel_residual: float
+
+
+@dataclass(frozen=True)
+class IdentitiesResult:
+    ok: bool
+    rel_tol: float
+    m2: IdentityResidual
+    rho2: IdentityResidual
+    rhox2: IdentityResidual
+    rhoxx2: IdentityResidual
+
+
+def identities_check(records, rel_tol: float = 1e-2) -> IdentitiesResult:
+    """Largest residual r_* of each energy identity relative to its s_* scale."""
+    def residual(name: str) -> IdentityResidual:
+        res_max = max(getattr(r, f"r_{name}") for r in records)
+        scale = max(abs(getattr(r, f"s_{name}")) for r in records)
+        rel = res_max / scale if scale > 0.0 else (0.0 if res_max == 0.0
+                                                   else math.inf)
+        return IdentityResidual(res_max, scale, rel)
+
+    per = {name: residual(name) for name in ("m2", "rho2", "rhox2", "rhoxx2")}
+    return IdentitiesResult(all(v.rel_residual <= rel_tol for v in per.values()),
+                            rel_tol, **per)
+
+
+@dataclass(frozen=True)
+class SymmetryResult:
+    ok: bool
+    max_residual: float
+    tol: float
+    mode: SymmetryMode
+
+
+def symmetry_check(records, mode: SymmetryMode,
+                   tol: float = 1e-10) -> SymmetryResult:
+    """The recorded parity residuals stay within tol."""
+    worst = _finite_max([r.symmetry_res for r in records])
+    return SymmetryResult(math.isfinite(worst) and worst <= tol, worst, tol, mode)
+
+
+@dataclass(frozen=True)
+class OriginResult:
+    ok: bool
+    max_value: float  # max over records of |u(0)|, |u_xx(0)|, |rho(0)|
+    tol: float
+
+
+def origin_check(records, tol: float = 1e-9) -> OriginResult:
+    """u, u_xx and rho stay pinned to zero at the origin."""
+    worst = max(max(abs(r.u0), abs(r.uxx0), abs(r.rho0)) for r in records)
+    return OriginResult(worst <= tol, worst, tol)

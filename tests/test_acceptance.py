@@ -300,7 +300,7 @@ def test_a04_transport_invariant(transport_run):
 def test_a05_rho_sup_bounds(smooth_suite):
     clauses = []
     for name, (p, recs) in smooth_suite.items():
-        for res in rho_sup_bound_check(recs, p):
+        for res in rho_sup_bound_check(recs, p).variants:
             if res.applicable:
                 clauses.append(
                     (f"{name}: {res.variant} bound "

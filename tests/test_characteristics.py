@@ -109,13 +109,13 @@ def fake_records(ts, sup, lo=-0.5, hi=0.5):
 def test_rho_bound_variants_applicability():
     ts = [0.0, 0.5, 1.0]
     recs = fake_records(ts, [1.0, 1.0, 1.0])
-    res = {r.variant: r for r in rho_sup_bound_check(recs,
-                                                     custom_params(2, 4, 1))}
+    res = {r.variant: r for r in rho_sup_bound_check(
+        recs, custom_params(2, 4, 1)).variants}
     assert not res["k3_nonpositive"].applicable
     assert res["k3_nonnegative"].applicable
     assert res["absolute"].applicable
-    res = {r.variant: r for r in rho_sup_bound_check(recs,
-                                                     custom_params(2, 4, -1))}
+    res = {r.variant: r for r in rho_sup_bound_check(
+        recs, custom_params(2, 4, -1)).variants}
     assert res["k3_nonpositive"].applicable
     assert not res["k3_nonnegative"].applicable
 
@@ -127,7 +127,7 @@ def test_rho_bound_exact_growth_accepted():
     sup = np.exp(k3 * M * ts)
     recs = fake_records(ts, sup, lo=-M, hi=M)
     out = rho_sup_bound_check(recs, custom_params(2.0, 4.0, k3))
-    assert all(r.ok for r in out if r.applicable)
+    assert out.ok and all(r.ok for r in out.variants if r.applicable)
 
 
 def test_rho_bound_violation_reported():
@@ -136,9 +136,9 @@ def test_rho_bound_violation_reported():
     sup = np.exp(k3 * M * ts)
     sup[5] *= 1.5  # clear violation at t = ts[5]
     recs = fake_records(ts, sup, lo=-M, hi=M)
-    out = {r.variant: r for r in rho_sup_bound_check(recs,
-                                                     custom_params(2.0, 4.0, k3))}
-    bad = out["k3_nonnegative"]
+    res = rho_sup_bound_check(recs, custom_params(2.0, 4.0, k3))
+    assert not res.ok
+    bad = {r.variant: r for r in res.variants}["k3_nonnegative"]
     assert not bad.ok
     assert bad.first_violation_t == pytest.approx(ts[5])
     assert bad.worst_margin > 0.0
@@ -153,8 +153,8 @@ def test_rho_bound_uses_running_extrema():
     recs = [SimpleNamespace(t=t, min_ux=-0.1,
                             max_ux=2.0 if i == 0 else 0.0, sup_rho=s)
             for i, (t, s) in enumerate(zip(ts, sup))]
-    out = {r.variant: r for r in rho_sup_bound_check(recs,
-                                                     custom_params(2.0, 4.0, k3))}
+    out = {r.variant: r for r in rho_sup_bound_check(
+        recs, custom_params(2.0, 4.0, k3)).variants}
     assert out["k3_nonnegative"].ok
 
 
@@ -164,7 +164,7 @@ def test_rho_bound_saturates_past_float_range():
     ts = np.linspace(0.0, 2.0, 5)
     recs = [SimpleNamespace(t=t, min_ux=-600.0, max_ux=600.0, sup_rho=3.0)
             for t in ts]
-    for res in rho_sup_bound_check(recs, custom_params(2.0, 4.0, 1.0)):
+    for res in rho_sup_bound_check(recs, custom_params(2.0, 4.0, 1.0)).variants:
         assert res.ok
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import shutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -190,15 +192,65 @@ def test_cmd_run_and_check(tmp_path):
     assert main(["check", str(out / "manifest.json")]) == 0
 
 
-def test_cmd_run_detects_tampering(tmp_path):
+def tampered(out: Path, dest: Path, edits: dict) -> Path:
+    """A copy of run directory `out` with each file `name` of `edits`
+    rewritten by `edits[name]`; returns the copy's manifest."""
+    shutil.copytree(out, dest)
+    for name, edit in edits.items():
+        path = dest / name
+        path.write_text(edit(path.read_text()))
+    return dest / "manifest.json"
+
+
+def test_cmd_run_detects_tampering(tmp_path, capsys):
     cfg_path = run_config(tmp_path)
     assert main(["run", str(cfg_path)]) == 0
-    diag = tmp_path / "out" / "diagnostics.csv"
-    lines = diag.read_text().splitlines()
-    lines[1] = lines[1].replace(lines[1].split(",")[2],
-                                "1.5", 1)
-    diag.write_text("\n".join(lines) + "\n")
-    assert main(["check", str(tmp_path / "out" / "manifest.json")]) == 1
+
+    def edit_value(text):
+        lines = text.splitlines()
+        lines[1] = lines[1].replace(lines[1].split(",")[2], "1.5", 1)
+        return "\n".join(lines) + "\n"
+
+    def header_only(text):
+        return text.splitlines(keepends=True)[0]
+
+    # a CSV that no longer parses is tampering too, not a config error
+    cases = {
+        "value": {"diagnostics.csv": edit_value},
+        "header": {"diagnostics.csv": lambda t: t.replace("l2_u", "l2u", 1)},
+        "last_row": {"extras.csv":
+                     lambda t: "".join(t.splitlines(keepends=True)[:-1])},
+        "no_rows": {"diagnostics.csv": header_only, "extras.csv": header_only},
+    }
+    for key, edits in cases.items():
+        capsys.readouterr()
+        manifest = tampered(tmp_path / "out", tmp_path / key, edits)
+        assert main(["check", str(manifest)]) == 1, key
+        out = capsys.readouterr().out
+        for name in edits:
+            assert f"check FAILED: hash mismatch for {name}" in out, key
+
+
+@pytest.mark.parametrize("block, key, value, line", [
+    ("checks.gronwall", "worst_ratio", 123,
+     "check 'gronwall' details differ from the records"),
+    ("checks.transport", "max_residual", 0.5,
+     "check 'transport' details differ from the records"),
+    ("report", "n_steps", 1, "report 'n_steps' differs from the last record"),
+], ids=["gronwall", "transport", "report"])
+def test_check_compares_details(tmp_path, capsys, block, key, value, line):
+    cfg_path = run_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+    path = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    target = manifest
+    for part in block.split("."):
+        target = target[part]
+    target[key] = value
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"check FAILED: {line}"]
 
 
 def test_check_rejects_unknown_config_field(tmp_path):
@@ -254,15 +306,108 @@ def test_cmd_sweep(tmp_path, monkeypatch):
     assert (tmp_path / "sw" / "case_i_b3_a0p5" / "manifest.json").exists()
 
 
-def test_sweep_rejects_custom_case(tmp_path):
+@pytest.mark.parametrize("sweep, needle", [
+    ({"case": ["custom"], "b": [2.0]}, r"sweep: case\[0\] must be"),
+    ({"bb": [2.0]}, r"unknown field 'sweep\.bb'"),
+    ({"b": ["two"]}, r"sweep: b\[0\] must be a number"),
+    ({"b": [True]}, r"sweep: b\[0\] must be a number"),
+    ({"b": [2.0], "amplitude": [0.5, False]},
+     r"sweep: amplitude\[1\] must be a number"),
+    ({"amplitude": [1.0]}, r"sweep: b is empty"),
+], ids=["custom_case", "unknown_key", "b_not_a_number", "b_boolean",
+        "amplitude_boolean", "no_runs"])
+def test_sweep_rejects_bad_section(tmp_path, caplog, sweep, needle):
     cfg = {
-        "sweep": {"case": ["custom"], "b": [2.0], "amplitude": [1.0]},
+        "sweep": sweep,
         "grid": {"L": 20.0, "N": 256},
         "control": {"t_end": 0.05},
         "initial": {"u": {"kind": "gaussian"},
                     "rho": {"kind": "gaussian"}},
+        "outputs": {"directory": str(tmp_path / "sw")},
     }
     assert main(["sweep", str(write_config(tmp_path, cfg))]) == 2
+    assert re.search(needle, caplog.text)
+    assert not (tmp_path / "sw").exists()
+
+
+# ----------------------------------------------------------------------
+# manifest layout: a check block is `enabled`, `passed`, then the fields
+# of its result in declaration order; the manifest's bytes depend on it
+
+CHECK_KEYS = {
+    "conservation": ["baseline", "max_abs_drift", "rel_drift"],
+    "gronwall": ["branch", "boundary_overlap", "m1", "c", "first_violation_t",
+                 "worst_ratio"],
+    "rho_bound": ["variants"],
+    "transport": ["max_residual", "qx_min", "tol"],
+    "identities": ["rel_tol", "m2", "rho2", "rhox2", "rhoxx2"],
+    "symmetry": ["max_residual", "tol", "mode"],
+    "origin": ["max_value", "tol"],
+    "riccati": ["ok_derivative", "derivative_first_violation_t",
+                "ok_reciprocal", "reciprocal_first_violation_t", "t0", "h0",
+                "increasing_until_t"],
+    "h3_energy": ["applicable", "branch", "m1", "m2", "c", "first_violation_t",
+                  "worst_ratio"],
+}
+REPORT_KEYS = ["status", "t_final", "n_steps", "blowup", "overflow_stage"]
+SLOPE_KEYS = ["applicable", "u0_prime_at_zero", "bound", "t_detected",
+              "respected", "t_resolution_lost", "stopped_before_bound"]
+
+
+def run_tiny(tmp_path: Path, name: str, cfg: dict) -> tuple[int, dict, Path]:
+    """Run `cfg` on a 64-point grid; (exit code, manifest, manifest path)."""
+    cfg["grid"] = {"L": 20.0, "N": 64}
+    cfg.setdefault("outputs", {})["directory"] = str(tmp_path / name)
+    code = main(["run", str(write_config(tmp_path, cfg))])
+    path = tmp_path / name / "manifest.json"
+    return code, json.loads(path.read_text()), path
+
+
+def test_manifest_layout_every_check_enabled(tmp_path):
+    cfg = base_config(checks={"transport": True,
+                              "symmetry_mode": "u_odd_rho_even",
+                              "riccati": True, "h3_energy": True})
+    cfg["control"]["t_end"] = 0.15
+    cfg["initial"]["u"]["kind"] = "odd_gaussian"
+    code, manifest, path = run_tiny(tmp_path, "on", cfg)
+    checks = manifest["checks"]
+    assert list(checks) == list(CHECK_KEYS)
+    for name, keys in CHECK_KEYS.items():
+        assert list(checks[name]) == ["enabled", "passed", *keys], name
+        assert checks[name]["enabled"] is True
+    assert [list(v) for v in checks["rho_bound"]["variants"]] == 3 * [
+        ["variant", "applicable", "ok", "first_violation_t", "worst_margin"]]
+    for name in ("m2", "rho2", "rhox2", "rhoxx2"):
+        assert list(checks["identities"][name]) == [
+            "max_residual", "scale", "rel_residual"]
+    assert list(manifest["report"]) == REPORT_KEYS
+    assert manifest["report"]["blowup"] is None
+    assert list(manifest["slope_bound"]) == SLOPE_KEYS
+    assert manifest["slope_bound"]["applicable"] is True
+    assert main(["check", str(path)]) == code
+
+
+def test_manifest_layout_every_check_disabled(tmp_path):
+    # k1 = 0.5 leaves the slope bound inapplicable; a step pinned above the
+    # CFL step with a tiny threshold forces a detection after one step
+    cfg = base_config(model={"case": "case_i", "b": 0.5},
+                      control={"t_end": 0.3, "dt_min": 0.1, "dt_max": 0.1,
+                               "blowup_grad_threshold": 1e-3},
+                      outputs={"char_label_stride": 0},
+                      checks=dict.fromkeys(CHECK_KEYS, False))
+    code, manifest, path = run_tiny(tmp_path, "off", cfg)
+    assert code == 0
+    assert manifest["checks"] == {name: {"enabled": False, "passed": None}
+                                  for name in CHECK_KEYS}
+    assert list(manifest["checks"]) == list(CHECK_KEYS)
+    report = manifest["report"]
+    assert list(report) == REPORT_KEYS
+    assert report["status"] == "blow_up_detected"
+    assert list(report["blowup"]) == ["quantity", "value", "location_index",
+                                      "t_detected"]
+    assert list(manifest["slope_bound"]) == SLOPE_KEYS
+    assert manifest["slope_bound"]["applicable"] is False
+    assert main(["check", str(path)]) == 0
 
 
 # ----------------------------------------------------------------------
