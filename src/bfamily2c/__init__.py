@@ -22,9 +22,8 @@ from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, ConservationResult,
                           fill_identity_residuals, gronwall_check_h2,
                           h3_energy_check, make_record, riccati_check,
                           symmetry_residual)
-from .dynamics import State, Tendency, eval_rhs, momentum, u_from_m0
-from .initdata import (InitKind, InitSpec, blowup_bound, build_initial,
-                       profile, u0_prime_at_zero)
+from .dynamics import State, Tendency, eval_rhs
+from .initdata import InitKind, InitSpec, blowup_bound, build_initial, profile
 from .model import (Branch, CaseTag, Framework, ModelParams, ScenarioBranch,
                     classify_scenario, custom_params, make_params)
 from .spectral import Grid, Kernel
@@ -47,7 +46,7 @@ __all__ = [
     "energy_scalars", "eval_rhs", "fill_identity_residuals",
     "gronwall_check_h2", "h3_energy_check",
     "init_characteristics", "make_params",
-    "make_record", "momentum", "profile", "rho_sup_bound_check",
+    "make_record", "profile", "rho_sup_bound_check",
     "riccati_check", "run", "step_rk4", "symmetry_residual",
-    "transport_residual", "u0_prime_at_zero", "u_from_m0",
+    "transport_residual",
 ]

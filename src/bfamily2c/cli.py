@@ -530,7 +530,11 @@ def cmd_run(config_path: str, directory: str | None = None) -> int:
 def _verify_manifest(manifest_dir: Path, manifest: dict) -> tuple[bool, list[str]]:
     """Re-derive every enabled check from the stored CSVs; list mismatches."""
     problems: list[str] = []
-    for name, digest in manifest.get("files", {}).items():
+    files = manifest.get("files", {})
+    required = {"diagnostics.csv", "extras.csv",
+                *(path.name for path in manifest_dir.glob("snap_*.csv"))}
+    problems += [f"no hash for {name}" for name in sorted(required - set(files))]
+    for name, digest in files.items():
         if _sha256(manifest_dir / name) != digest:
             problems.append(f"hash mismatch for {name}")
     try:

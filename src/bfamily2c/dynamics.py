@@ -80,17 +80,3 @@ def eval_rhs(s: State, p: ModelParams, g: Grid, dealias: bool = True) -> Tendenc
         raise FloatingPointError("non-finite tendency (overflow)")
     return Tendency(du=du, drho=drho, ux=ux)
 
-
-def momentum(s: State, g: Grid) -> np.ndarray:
-    """m = u - u_xx via the Helmholtz multiplier 1 + kappa^2."""
-    return g.helmholtz(s.u)
-
-
-def u_from_m0(m0: np.ndarray, g: Grid) -> np.ndarray:
-    """Velocity from momentum, u = (1 - dx^2)^{-1} m.
-
-    The line identity is u = p * m; on the periodic surrogate the
-    multiplier inverse plays that role, so m0 must decay before the
-    boundary for the construction to be meaningful.
-    """
-    return g.helmholtz_inv(m0)

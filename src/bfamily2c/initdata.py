@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import State, u_from_m0
+from .dynamics import State
 from .model import ModelParams
 from .spectral import Grid
 
@@ -75,7 +75,7 @@ def profile(spec: InitSpec, g: Grid) -> np.ndarray:
     if spec.kind is InitKind.ZERO:
         return np.zeros(g.N)
     if spec.kind is InitKind.FROM_M0:
-        return u_from_m0(profile(spec.m0_spec, g), g)
+        return g.helmholtz_inv(profile(spec.m0_spec, g))
     if spec.kind is InitKind.TABLE:
         return _load_table(spec.table_path, g)
     raise ValueError(f"unknown init kind {spec.kind!r}")
@@ -116,20 +116,6 @@ def build_initial(spec_u: InitSpec, spec_rho: InitSpec, g: Grid) -> State:
     if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(rho0))):
         raise ValueError("non-finite initial data")
     return State(t=0.0, u=u0, rho=rho0)
-
-
-def u0_prime_at_zero(m0: np.ndarray, g: Grid) -> float:
-    """Initial slope at the origin from the momentum profile.
-
-    For odd m0 the slope of u0 = p * m0 at x = 0 reduces to the
-    half-line integral  u0'(0) = int_0^inf e^{-y} m0(y) dy,  computed
-    here by the trapezoid rule on the nodes y in [0, L); truncation
-    error is bounded by e^{-L} sup|m0|.
-    """
-    m0 = g.check_field(m0)
-    y = g.x[g.origin_index:]
-    vals = np.exp(-y) * m0[g.origin_index:]
-    return float(g.dx * (0.5 * vals[0] + np.sum(vals[1:-1]) + 0.5 * vals[-1]))
 
 
 def blowup_bound(p: ModelParams, u0p0: float) -> float:

@@ -47,11 +47,19 @@ def _kernel_values(kernel: Kernel, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
+def _parseval_sum(power: np.ndarray) -> float:
+    """Sum over all N modes of a real field from its rfft half-spectrum
+    power: bins 1 .. N/2-1 stand for their conjugates too."""
+    return power[0] + 2.0 * np.sum(power[1:-1]) + power[-1]
+
+
 class Grid:
     """Uniform periodic grid with cached Fourier multipliers.
 
     All operators are pure functions of their input array; the grid
-    itself is immutable after construction and safe to share.
+    itself is immutable after construction and safe to share.  They do
+    not validate fields: shape and finiteness are enforced where fields
+    enter or change (build_initial, eval_rhs, the RK4 combine).
     """
 
     def __init__(self, L: float, N: int):
@@ -91,12 +99,6 @@ class Grid:
         """Index of the node x = 0 (grid is symmetric by construction)."""
         return self.N // 2
 
-    def check_field(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.N,):
-            raise ValueError(f"field shape {f.shape} does not match grid N={self.N}")
-        return f
-
     def integrate(self, f: np.ndarray) -> float:
         """Trapezoid rule over the period (== rectangle rule here)."""
         return self.dx * float(np.sum(f))
@@ -112,29 +114,22 @@ class Grid:
         """
         if order not in (1, 2, 3):
             raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
-        f = self.check_field(f)
-        if not np.all(np.isfinite(f)):
-            raise FloatingPointError("non-finite field passed to derivative")
         return np.fft.irfft(np.fft.rfft(f) * self.deriv_mult[order], n=self.N)
 
     def helmholtz(self, f: np.ndarray) -> np.ndarray:
         """(1 - dx^2) f as the multiplier 1 + kappa^2."""
-        f = self.check_field(f)
         return np.fft.irfft(np.fft.rfft(f) * self.helm, n=self.N)
 
     def helmholtz_inv(self, f: np.ndarray) -> np.ndarray:
         """(1 - dx^2)^{-1} f; the periodic surrogate for p * f."""
-        f = self.check_field(f)
         return np.fft.irfft(np.fft.rfft(f) / self.helm, n=self.N)
 
     def dx_helmholtz_inv(self, f: np.ndarray) -> np.ndarray:
         """dx (1 - dx^2)^{-1} f, multiplier i*kappa/(1 + kappa^2)."""
-        f = self.check_field(f)
         return np.fft.irfft(np.fft.rfft(f) * self.dx_helm_inv, n=self.N)
 
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """Orthogonal projection dropping modes above N/3 (2/3 rule)."""
-        f = self.check_field(f)
         fh = np.fft.rfft(f)
         fh[self.n_keep:] = 0.0
         return np.fft.irfft(fh, n=self.N)
@@ -152,7 +147,6 @@ class Grid:
         domain truncates the line integral, and no periodic image of
         the kernel is included.
         """
-        f = self.check_field(f)
         if kernel not in self._kernel_fft:
             lags = self.dx * np.arange(-(self.N - 1), self.N)
             kpad = np.zeros(2 * self.N)
@@ -172,15 +166,14 @@ class Grid:
         Normalized so s = 0 reproduces the trapezoid integral of f^2
         over the period (discrete Parseval).
         """
-        return self.spectrum_norm_sq(np.fft.rfft(self.check_field(f)), s)
+        return self.spectrum_norm_sq(np.fft.rfft(f), s)
 
     def spectrum_norm_sq(self, fh: np.ndarray, s: float) -> float:
         """sobolev_norm_sq of the field whose rfft is fh."""
         if not np.isfinite(s):
             raise ValueError("Sobolev index s must be finite")
         power = self.helm**s * np.abs(fh) ** 2
-        total = power[0] + 2.0 * np.sum(power[1:-1]) + power[-1]
-        return float(2.0 * self.L * total / self.N**2)
+        return float(2.0 * self.L * _parseval_sum(power) / self.N**2)
 
     def tail_fraction(self, f: np.ndarray) -> float:
         """Share of the discrete energy of f held by modes N/6 < n <= N/3.
@@ -191,9 +184,8 @@ class Grid:
         resolution (Sulem, Sulem & Frisch, J. Comput. Phys. 50 (1983)
         138).  A zero field has share 0.
         """
-        f = self.check_field(f)
         power = np.abs(np.fft.rfft(f)) ** 2
-        total = power[0] + 2.0 * np.sum(power[1:-1]) + power[-1]
+        total = _parseval_sum(power)
         if total == 0.0:
             return 0.0
         return float(2.0 * np.sum(power[self._tail]) / total)

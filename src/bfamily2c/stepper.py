@@ -33,7 +33,7 @@ from .characteristics import (BOUNDARY_MARGIN, CharField,
                               transport_residual)
 from .diagnostics import (DiagRecord, SymmetryMode, fill_identity_residuals,
                           make_record)
-from .dynamics import State, eval_rhs
+from .dynamics import State, Tendency, eval_rhs
 from .model import Branch, Framework, ModelParams, classify_scenario
 from .spectral import Grid
 
@@ -117,19 +117,27 @@ class DtChoice:
 
 
 def choose_dt(s: State, p: ModelParams, ctl: StepControl, g: Grid,
-              ux: np.ndarray | None = None) -> DtChoice:
+              ux: np.ndarray) -> DtChoice:
     """CFL-limited step:  dt = cfl dx / max(1, (1+|k3|) ||u||_inf),
     additionally capped by cfl / max(1, ||u_x||_inf) so per-step
     gradient growth stays bounded, then clamped to [dt_min, dt_max].
+    ux is the u_x of s (run() passes the one its stage 1 computed).
     """
-    if ux is None:
-        ux = g.derivative(s.u, 1)
     umax = float(np.max(np.abs(s.u)))
     uxmax = float(np.max(np.abs(ux)))
     raw = ctl.cfl * g.dx / max(1.0, (1.0 + abs(p.k3)) * umax)
     raw = min(raw, ctl.cfl / max(1.0, uxmax))
     dt = min(max(raw, ctl.dt_min), ctl.dt_max)
     return DtChoice(dt=dt, collapsed=raw < ctl.dt_min, raw=raw)
+
+
+def _stage_tendency(s: State, p: ModelParams, g: Grid, dealias: bool,
+                    stage: int) -> Tendency:
+    """eval_rhs of one RK4 stage; overflow raises OverflowSignal(stage, s.t)."""
+    try:
+        return eval_rhs(s, p, g, dealias=dealias)
+    except FloatingPointError as exc:
+        raise OverflowSignal(stage, s.t) from exc
 
 
 def step_rk4(
@@ -139,9 +147,12 @@ def step_rk4(
     g: Grid,
     dealias: bool = True,
     collect_stages: bool = False,
+    k1: Tendency | None = None,
 ):
     """One classical RK4 step; optionally returns the four stage fields.
 
+    k1 is the stage-1 tendency of s when the caller has it (run() takes
+    its u_x for the step size); otherwise it is evaluated here.
     Stage fields (t, u, u_x) at offsets (0, dt/2, dt/2, dt) are what the
     characteristic ODE needs to advance through the same interval; u_x
     is the one each stage's tendency computed.
@@ -150,31 +161,18 @@ def step_rk4(
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     t, u, rho = s.t, s.u, s.rho
-    stages = []
+    k = k1 if k1 is not None else _stage_tendency(s, p, g, dealias, 0)
+    ks, stages = [k], [(t, u, k.ux)]
+    for stage, w in ((1, 0.5), (2, 0.5), (3, 1.0)):
+        ui = u + w * dt * k.du
+        k = _stage_tendency(State(t=t, u=ui, rho=rho + w * dt * k.drho),
+                            p, g, dealias, stage)
+        ks.append(k)
+        stages.append((t + w * dt, ui, k.ux))
 
-    def rhs(ti, ui, rhoi, stage):
-        """(du, drho) of one stage; its u_x is kept only when collected."""
-        try:
-            k = eval_rhs(State(t=t, u=ui, rho=rhoi), p, g, dealias=dealias)
-        except FloatingPointError as exc:
-            raise OverflowSignal(stage, t) from exc
-        if collect_stages:
-            stages.append((ti, ui, k.ux))
-        return k.du, k.drho
-
-    du1, dr1 = rhs(t, u, rho, 0)
-    u2 = u + 0.5 * dt * du1
-    r2 = rho + 0.5 * dt * dr1
-    du2, dr2 = rhs(t + 0.5 * dt, u2, r2, 1)
-    u3 = u + 0.5 * dt * du2
-    r3 = rho + 0.5 * dt * dr2
-    du3, dr3 = rhs(t + 0.5 * dt, u3, r3, 2)
-    u4 = u + dt * du3
-    r4 = rho + dt * dr3
-    du4, dr4 = rhs(t + dt, u4, r4, 3)
-
-    u_new = u + (dt / 6.0) * (du1 + 2.0 * du2 + 2.0 * du3 + du4)
-    rho_new = rho + (dt / 6.0) * (dr1 + 2.0 * dr2 + 2.0 * dr3 + dr4)
+    a, b, c, d = ks
+    u_new = u + (dt / 6.0) * (a.du + 2.0 * b.du + 2.0 * c.du + d.du)
+    rho_new = rho + (dt / 6.0) * (a.drho + 2.0 * b.drho + 2.0 * c.drho + d.drho)
     if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(rho_new))):
         raise OverflowSignal(4, t)
     out = State(t=t + dt, u=u_new, rho=rho_new)
@@ -265,6 +263,11 @@ def run(
     u steepens.  Detection on the same step takes precedence.  Either
     way the stopping state is the final record.
 
+    Each accepted state is evaluated once: its stage-1 tendency gives
+    choose_dt the u_x and is stage 1 of the next step, and an overflow
+    there ends the run with overflow_stage 0.  The watched slopes are
+    differentiated only after a step that collapsed short of t_end.
+
     Identical inputs produce bit-identical trajectories on one
     platform.
     """
@@ -310,14 +313,14 @@ def run(
         snapshot(s)
 
     t_eps = 1e-12 * max(1.0, ctl.t_end)
-    ux = g.derivative(s.u, 1)  # of the current state: detection, then the next dt
     while ctl.t_end - s.t > t_eps:
-        choice = choose_dt(s, p, ctl, g, ux=ux)
-        dt = min(choice.dt, ctl.t_end - s.t)
         try:
+            k1 = _stage_tendency(s, p, g, ctl.dealias, 0)
+            choice = choose_dt(s, p, ctl, g, k1.ux)
+            dt = min(choice.dt, ctl.t_end - s.t)
             if char is not None:
                 s_new, stages = step_rk4(s, dt, p, g, dealias=ctl.dealias,
-                                         collect_stages=True)
+                                         collect_stages=True, k1=k1)
                 char = advance_characteristics(char, stages, p, g, dt)
                 if char.near_boundary and not warned_boundary:
                     logger.warning(
@@ -326,7 +329,7 @@ def run(
                         "degrade", 100 * (1 - BOUNDARY_MARGIN), char.t)
                     warned_boundary = True
             else:
-                s_new = step_rk4(s, dt, p, g, dealias=ctl.dealias)
+                s_new = step_rk4(s, dt, p, g, dealias=ctl.dealias, k1=k1)
         except OverflowSignal as exc:
             status = RunStatus.OVERFLOW
             overflow_stage = exc.stage_index
@@ -343,19 +346,20 @@ def run(
         if diag.snapshot_every > 0 and n_steps % diag.snapshot_every == 0:
             snapshot(s)
 
-        ux = g.derivative(s.u, 1)
-        rhox = g.derivative(s.rho, 1) if watch_rhox else None
-        hits = _detection_candidates(scenario.branch, watch_rhox, ux, rhox,
-                                     ctl.blowup_grad_threshold)
-        # a run that lands on t_end never reports blow-up
-        if hits and choice.collapsed and ctl.t_end - s.t > t_eps:
-            quantity, value, j = max(hits, key=lambda h: abs(h[1]))
-            blowup = BlowupDiagnostic(quantity=quantity, value=value,
-                                      location_index=j, t_detected=s.t)
-            status = RunStatus.BLOW_UP_DETECTED
-            logger.info("blow-up detected at t=%.6g: %s=%.6g at x=%.6g",
-                        s.t, quantity.value, value, g.x[j])
-            break
+        # only a collapsed step short of t_end can report blow-up
+        if choice.collapsed and ctl.t_end - s.t > t_eps:
+            hits = _detection_candidates(
+                scenario.branch, watch_rhox, g.derivative(s.u, 1),
+                g.derivative(s.rho, 1) if watch_rhox else None,
+                ctl.blowup_grad_threshold)
+            if hits:
+                quantity, value, j = max(hits, key=lambda h: abs(h[1]))
+                blowup = BlowupDiagnostic(quantity=quantity, value=value,
+                                          location_index=j, t_detected=s.t)
+                status = RunStatus.BLOW_UP_DETECTED
+                logger.info("blow-up detected at t=%.6g: %s=%.6g at x=%.6g",
+                            s.t, quantity.value, value, g.x[j])
+                break
         if ctl.resolution_tol is not None:
             tail = max(g.tail_fraction(s.u), g.tail_fraction(s.rho))
             if tail > ctl.resolution_tol:

@@ -231,6 +231,43 @@ def test_cmd_run_detects_tampering(tmp_path, capsys):
             assert f"check FAILED: hash mismatch for {name}" in out, key
 
 
+def test_check_requires_every_artifact_hash(tmp_path, capsys):
+    cfg_path = run_config(tmp_path)
+    assert main(["run", str(cfg_path)]) == 0
+
+    def edit_hs_u(text):
+        # hs_u enters no check, so only its hash can expose the edit
+        lines = text.splitlines()
+        col = lines[0].split(",").index("hs_u")
+        row = lines[1].split(",")
+        row[col] = "123.0"
+        lines[1] = ",".join(row)
+        return "\n".join(lines) + "\n"
+
+    def drop_hashes(*names):
+        def edit(text):
+            manifest = json.loads(text)
+            for name in names or list(manifest["files"]):
+                del manifest["files"][name]
+            return json.dumps(manifest)
+        return edit
+
+    cases = {
+        "emptied": ({"diagnostics.csv": edit_hs_u,
+                     "manifest.json": drop_hashes()},
+                    ["diagnostics.csv", "extras.csv", "snap_0.csv",
+                     "snap_1.csv"]),
+        "snapshot": ({"manifest.json": drop_hashes("snap_1.csv")},
+                     ["snap_1.csv"]),
+    }
+    for key, (edits, missing) in cases.items():
+        capsys.readouterr()
+        manifest = tampered(tmp_path / "out", tmp_path / key, edits)
+        assert main(["check", str(manifest)]) == 1, key
+        assert capsys.readouterr().out.splitlines() == [
+            f"check FAILED: no hash for {name}" for name in missing], key
+
+
 @pytest.mark.parametrize("block, key, value, line", [
     ("checks.gronwall", "worst_ratio", 123,
      "check 'gronwall' details differ from the records"),

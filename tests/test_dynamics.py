@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bfamily2c import (CaseTag, Grid, Kernel, State, custom_params, eval_rhs,
-                       make_params, momentum, u_from_m0)
+                       make_params)
 
 
 def mirror(f: np.ndarray) -> np.ndarray:
@@ -75,12 +75,6 @@ def test_nonfinite_state_raises(grid20, params_b2):
     u = np.full(grid20.N, 1e300)  # u*u overflows to inf
     with pytest.raises(FloatingPointError):
         eval_rhs(State(0.0, u, np.zeros(grid20.N)), params_b2, grid20)
-
-
-def test_momentum_roundtrip(grid20, rng):
-    u = rng.standard_normal(grid20.N)
-    m = momentum(State(0.0, u, np.zeros(grid20.N)), grid20)
-    assert np.max(np.abs(u_from_m0(m, grid20) - u)) < 1e-10
 
 
 def _oracle_states(g, rng):

@@ -7,8 +7,9 @@ adds a transform fails here on any machine, independent of timing.
 import numpy as np
 import pytest
 
-from bfamily2c import (State, advance_characteristics, eval_rhs,
-                       init_characteristics, make_record, step_rk4)
+from bfamily2c import (DiagSettings, Grid, RunStatus, State, StepControl,
+                       advance_characteristics, eval_rhs, init_characteristics,
+                       make_record, run, step_rk4)
 
 
 @pytest.fixture
@@ -52,3 +53,20 @@ def test_characteristic_advance_reuses_stage_slopes(grid20, params_b2,
     # one stacked (u, u_x) interpolation per stage, no derivative
     assert fft_calls["rfft"] - before["rfft"] == 4
     assert fft_calls["irfft"] == before["irfft"]
+
+
+def test_run_evaluates_each_accepted_state_once(grid20, params_b2, fft_calls,
+                                                monkeypatch):
+    derivatives = []
+    real = Grid.derivative
+    monkeypatch.setattr(Grid, "derivative", lambda self, f, order=1:
+                        derivatives.append(order) or real(self, f, order))
+    s0 = _state(grid20)
+    traj, rep = run(s0, params_b2, StepControl(t_end=0.3), grid20,
+                    diag=DiagSettings(every=3, char_stride=0))
+    assert rep.status is RunStatus.REACHED_T_END and rep.n_steps > 3
+    # four tendencies per step, stage 1 giving the step size its u_x;
+    # nothing else differentiates a state whose dt never collapsed
+    total = fft_calls["rfft"] + fft_calls["irfft"]
+    assert total == 28 * rep.n_steps + 11 * len(traj.records)
+    assert derivatives == []

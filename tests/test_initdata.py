@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from bfamily2c import (CaseTag, Grid, InitKind, InitSpec, blowup_bound,
-                       build_initial, custom_params, make_params, profile,
-                       u0_prime_at_zero)
+                       build_initial, custom_params, make_params, profile)
 from bfamily2c.initdata import BOUNDARY_DECAY_TOL
 
 
@@ -101,15 +100,6 @@ def test_build_initial_rejects_boundary_support(grid20):
     s = build_initial(narrow, narrow, grid20)
     assert s.t == 0.0
     assert abs(s.u[0]) <= BOUNDARY_DECAY_TOL
-
-
-def test_u0_prime_at_zero_against_quadrature_oracle():
-    # int_0^inf e^{-y} y e^{-y^2} dy = 0.22717931961747645 (adaptive
-    # quadrature, frozen); trapezoid on the grid is O(dx^2) accurate
-    g = Grid(30.0, 2048)
-    m0 = g.x * np.exp(-g.x**2)
-    assert u0_prime_at_zero(m0, g) == pytest.approx(0.22717931961747645,
-                                                    abs=1e-4)
 
 
 def test_blowup_bound_values():

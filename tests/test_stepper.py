@@ -25,7 +25,7 @@ def test_choose_dt_formula(grid20, params_b2):
     uxmax = float(np.max(np.abs(ux)))
     raw = min(0.3 * grid20.dx / max(1.0, 2.0 * umax),  # (1+|k3|) = 2
               0.3 / max(1.0, uxmax))
-    choice = choose_dt(s, params_b2, ctl, grid20)
+    choice = choose_dt(s, params_b2, ctl, grid20, ux)
     assert choice.raw == pytest.approx(raw, rel=1e-14)
     assert choice.dt == choice.raw  # inside [dt_min, dt_max]
     assert not choice.collapsed
@@ -35,7 +35,7 @@ def test_choose_dt_clamps_to_dt_max(grid20, params_b2):
     # quiescent data: raw = cfl*dx ~ 0.047, well above the cap below
     s = State(0.0, 1e-8 * np.exp(-grid20.x**2), np.zeros(grid20.N))
     choice = choose_dt(s, params_b2, StepControl(t_end=1.0, dt_max=0.01),
-                       grid20)
+                       grid20, grid20.derivative(s.u, 1))
     assert choice.raw > 0.01
     assert choice.dt == 0.01
     assert not choice.collapsed
@@ -44,7 +44,7 @@ def test_choose_dt_clamps_to_dt_max(grid20, params_b2):
 def test_choose_dt_collapse_flag(grid20, params_b2):
     s = State(0.0, 1e9 * np.exp(-grid20.x**2), np.zeros(grid20.N))
     ctl = StepControl(t_end=1.0, dt_min=1e-6)
-    choice = choose_dt(s, params_b2, ctl, grid20)
+    choice = choose_dt(s, params_b2, ctl, grid20, grid20.derivative(s.u, 1))
     assert choice.collapsed
     assert choice.dt == 1e-6
     assert choice.raw < 1e-6
