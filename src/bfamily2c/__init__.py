@@ -13,37 +13,34 @@ which is equivalent to m_t = u m_x + k1 u_x m + k2 rho rho_x for
 smooth solutions.
 """
 
-from .characteristics import (CharField, RhoBoundResult,
-                              advance_characteristics, init_characteristics,
-                              rho_sup_bound_check, transport_residual)
-from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, ConservationResult,
-                          DiagRecord, GronwallResult, RiccatiResult,
-                          SymmetryMode, conservation_check, energy_scalars,
+from .characteristics import (CharField, advance_characteristics,
+                              init_characteristics, rho_sup_bound_check,
+                              transport_residual)
+from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, DiagRecord,
+                          SymmetryMode, conservation_check,
                           fill_identity_residuals, gronwall_check_h2,
                           h3_energy_check, make_record, riccati_check,
                           symmetry_residual)
 from .dynamics import State, Tendency, eval_rhs
 from .initdata import InitKind, InitSpec, blowup_bound, build_initial, profile
-from .model import (Branch, CaseTag, Framework, ModelParams, ScenarioBranch,
-                    classify_scenario, custom_params, make_params)
+from .model import (Branch, CaseTag, Framework, ModelParams, classify_scenario,
+                    custom_params, make_params)
 from .spectral import Grid, Kernel
-from .stepper import (RESOLUTION_TOL, BlowupDiagnostic, BlowupQuantity,
-                      DiagSettings, OverflowSignal, RunReport, RunStatus,
-                      StepControl, Trajectory, choose_dt, run, step_rk4)
+from .stepper import (RESOLUTION_TOL, DiagSettings, OverflowSignal, RunReport,
+                      RunStatus, StepControl, Trajectory, choose_dt, run,
+                      step_rk4)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Branch", "BlowupDiagnostic", "BlowupQuantity", "CaseTag", "CharField",
-    "ConservationResult", "DIAG_COLUMNS", "DiagRecord", "DiagSettings",
-    "EXTRA_COLUMNS", "Framework", "Grid", "GronwallResult", "InitKind",
+    "Branch", "CaseTag", "CharField", "DIAG_COLUMNS", "DiagRecord",
+    "DiagSettings", "EXTRA_COLUMNS", "Framework", "Grid", "InitKind",
     "InitSpec", "Kernel", "ModelParams", "OverflowSignal", "RESOLUTION_TOL",
-    "RhoBoundResult", "RiccatiResult", "RunReport", "RunStatus",
-    "ScenarioBranch", "State", "StepControl", "SymmetryMode", "Tendency",
-    "Trajectory",
+    "RunReport", "RunStatus", "State", "StepControl", "SymmetryMode",
+    "Tendency", "Trajectory",
     "advance_characteristics", "blowup_bound", "build_initial", "choose_dt",
     "classify_scenario", "conservation_check", "custom_params",
-    "energy_scalars", "eval_rhs", "fill_identity_residuals",
+    "eval_rhs", "fill_identity_residuals",
     "gronwall_check_h2", "h3_energy_check",
     "init_characteristics", "make_params",
     "make_record", "profile", "rho_sup_bound_check",

@@ -50,8 +50,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-WORKERS_ENV = "BFAMILY2C_WORKERS"
-
 DIAG_HEADER = ",".join(DIAG_COLUMNS)
 EXTRA_HEADER = ",".join(EXTRA_COLUMNS)
 SNAP_HEADER = "x,u,rho,m"
@@ -619,17 +617,15 @@ class SweepSettings:
                 raise ValueError(f"{name} is empty, so the sweep has no runs")
 
 
-def _sweep_one(cfg: dict, out_dir: str) -> tuple[dict, bool]:
+def _sweep_one(setup: RunSetup) -> tuple[dict, bool]:
     """Worker: one sweep combination; returns (summary row, checks ok)."""
-    setup = parse_config(cfg)
-    traj, report, checks = execute_run(setup, Path(out_dir))
+    traj, report, checks = execute_run(setup, Path(setup.outputs.directory))
     p = setup.params
     payload = slope_bound_payload(traj.records, p, report)
     row = {
-        "case": cfg["model"]["case"],
-        "b": _fmt(cfg["model"]["b"]) if "b" in cfg["model"] else "",
+        "case": p.case_tag.value, "b": _fmt(p.b),
         "k1": _fmt(p.k1), "k2": _fmt(p.k2), "k3": _fmt(p.k3),
-        "amplitude": _fmt(cfg["initial"]["u"]["amplitude"]),
+        "amplitude": _fmt(setup.spec_u.amplitude),
         "status": report.status.value,
         "t_final": _fmt(report.t_final),
         "blowup_quantity": report.blowup.quantity.value if report.blowup else "",
@@ -658,8 +654,10 @@ def cmd_sweep(config_path: str) -> int:
             name = f"{case}_b{_num_token(b)}_a{_num_token(amp)}"
             sub["outputs"] = dict(cfg.get("outputs", {}))
             sub["outputs"]["directory"] = str(base_dir / name)
-            parse_config(json.loads(json.dumps(sub)))  # validate before submitting
-            jobs.append((case, b, amp, sub, str(base_dir / name)))
+            setup = parse_config(json.loads(json.dumps(sub)))
+            if jobs:  # members share the grid section, so they hold one Grid
+                setup.grid = jobs[0][3].grid
+            jobs.append((case, b, amp, setup))
     except (ConfigError, KeyError, TypeError) as exc:
         logger.error("config error: %s", exc)
         return EXIT_CONFIG
@@ -667,21 +665,14 @@ def cmd_sweep(config_path: str) -> int:
         logger.error("I/O error: %s", exc)
         return EXIT_IO
 
-    default_workers = min(4, os.cpu_count() or 1)
-    try:
-        workers = max(1, int(os.environ.get(WORKERS_ENV, default_workers)))
-    except ValueError:
-        logger.error("environment variable %s must be an integer", WORKERS_ENV)
-        return EXIT_CONFIG
-
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     results: dict[tuple, tuple[dict, bool]] = {}
     try:
         base_dir.mkdir(parents=True, exist_ok=True)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_sweep_one, sub, out): (case, b, amp)
-                for case, b, amp, sub, out in jobs
-            }
+        with ProcessPoolExecutor(max_workers=min(4, cpus)) as pool:
+            futures = {pool.submit(_sweep_one, setup): (case, b, amp)
+                       for case, b, amp, setup in jobs}
             for fut, key in futures.items():
                 try:
                     results[key] = fut.result()

@@ -48,9 +48,16 @@ class DiagRecord:
 
     The CSV columns map to the same-named fields (E1 -> e1, R_m2 ->
     r_m2, ...).  i_* / s_* are the left-side integrals and right-side
-    quadratures of the four energy identities; the residual fields r_*
-    are filled in a post-pass once both time neighbors exist, and stay
-    0.0 on the first and last record.
+    quadratures of the four energy identities
+      d/dt int m^2      = (2k1-1) int m^2 u_x - k2 int u_x rho^2
+                          + k2 int u_xxx rho^2
+      d/dt int rho^2    = k3 int u_x rho^2
+      d/dt int rho_x^2  = 3 k3 int u_x rho_x^2 - k3 int u_xxx rho^2
+      d/dt int rho_xx^2 = 5 k3 int u_x rho_xx^2
+                          + k3 int u_xxx (2 rho rho_xx - 3 rho_x^2)
+    and E1 = int(m^2 + m_x^2 + rho^2 + rho_x^2 + rho_xx^2).  The
+    residual fields r_* are filled in a post-pass once both time
+    neighbors exist, and stay 0.0 on the first and last record.
     """
 
     step: int
@@ -86,89 +93,6 @@ class DiagRecord:
     transport_res: float = math.nan
     symmetry_res: float = math.nan
     qx_min: float = math.nan
-
-
-@dataclass(frozen=True)
-class EnergyScalars:
-    """Integrals entering the identities at a single time.
-
-    i_* are the left sides; s_* the right-side quadratures:
-      d/dt int m^2      = (2k1-1) int m^2 u_x - k2 int u_x rho^2
-                          + k2 int u_xxx rho^2
-      d/dt int rho^2    = k3 int u_x rho^2
-      d/dt int rho_x^2  = 3 k3 int u_x rho_x^2 - k3 int u_xxx rho^2
-      d/dt int rho_xx^2 = 5 k3 int u_x rho_xx^2
-                          + k3 int u_xxx (2 rho rho_xx - 3 rho_x^2)
-    i_mx2 completes E1 = int(m^2 + m_x^2 + rho^2 + rho_x^2 + rho_xx^2).
-    """
-
-    i_m2: float
-    i_mx2: float
-    i_rho2: float
-    i_rhox2: float
-    i_rhoxx2: float
-    s_m2: float
-    s_rho2: float
-    s_rhox2: float
-    s_rhoxx2: float
-
-
-@dataclass(frozen=True)
-class _Spectral:
-    """The two spectra of one state and the fields derived from them."""
-
-    uh: np.ndarray
-    rh: np.ndarray
-    ux: np.ndarray
-    uxx: np.ndarray
-    uxxx: np.ndarray
-    m: np.ndarray
-    mx: np.ndarray
-    rhox: np.ndarray
-    rhoxx: np.ndarray
-
-
-def _spectral(s: State, g: Grid) -> _Spectral:
-    """One rfft of u and one of rho; every derivative is a multiplier away."""
-    rfft, irfft, d = np.fft.rfft, np.fft.irfft, g.deriv_mult
-    uh = rfft(s.u)
-    rh = rfft(s.rho)
-    mh = uh * g.helm
-    return _Spectral(
-        uh=uh,
-        rh=rh,
-        ux=irfft(uh * d[1], n=g.N),
-        uxx=irfft(uh * d[2], n=g.N),
-        uxxx=irfft(uh * d[3], n=g.N),
-        m=irfft(mh, n=g.N),
-        mx=irfft(mh * g.ik, n=g.N),
-        rhox=irfft(rh * d[1], n=g.N),
-        rhoxx=irfft(rh * d[2], n=g.N),
-    )
-
-
-def _energy_scalars(f: _Spectral, rho: np.ndarray, p: ModelParams,
-                    g: Grid) -> EnergyScalars:
-    ux, uxxx, m, rhox, rhoxx = f.ux, f.uxxx, f.m, f.rhox, f.rhoxx
-    I = g.integrate
-    k1, k2, k3 = p.k1, p.k2, p.k3
-    return EnergyScalars(
-        i_m2=I(m**2),
-        i_mx2=I(f.mx**2),
-        i_rho2=I(rho**2),
-        i_rhox2=I(rhox**2),
-        i_rhoxx2=I(rhoxx**2),
-        s_m2=(2.0 * k1 - 1.0) * I(m**2 * ux) - k2 * I(ux * rho**2)
-        + k2 * I(uxxx * rho**2),
-        s_rho2=k3 * I(ux * rho**2),
-        s_rhox2=3.0 * k3 * I(ux * rhox**2) - k3 * I(uxxx * rho**2),
-        s_rhoxx2=5.0 * k3 * I(ux * rhoxx**2)
-        + k3 * I(uxxx * (2.0 * rho * rhoxx - 3.0 * rhox**2)),
-    )
-
-
-def energy_scalars(s: State, p: ModelParams, g: Grid) -> EnergyScalars:
-    return _energy_scalars(_spectral(s, g), s.rho, p, g)
 
 
 def _mirror(f: np.ndarray) -> np.ndarray:
@@ -208,44 +132,58 @@ def make_record(
     (nine transforms), plus one forward and one inverse transform for
     the nonlocal source at the origin.
     """
+    rfft, irfft, d, N = np.fft.rfft, np.fft.irfft, g.deriv_mult, g.N
     u, rho = s.u, s.rho
-    f = _spectral(s, g)
-    ux = f.ux
-    es = _energy_scalars(f, rho, p, g)
+    uh = rfft(u)
+    rh = rfft(rho)
+    mh = uh * g.helm
+    ux = irfft(uh * d[1], n=N)
+    uxx = irfft(uh * d[2], n=N)
+    uxxx = irfft(uh * d[3], n=N)
+    m = irfft(mh, n=N)
+    mx = irfft(mh * g.ik, n=N)
+    rhox = irfft(rh * d[1], n=N)
+    rhoxx = irfft(rh * d[2], n=N)
+    I = g.integrate
+    k1, k2, k3 = p.k1, p.k2, p.k3
+    i_m2, i_mx2, i_rho2 = I(m**2), I(mx**2), I(rho**2)
+    i_rhox2, i_rhoxx2 = I(rhox**2), I(rhoxx**2)
     j0 = g.origin_index
     # p * [(k1/2)u^2 + ((3-k1)/2)u_x^2 + (k2/2)rho^2] at the origin;
     # products left un-dealiased so the integrand is pointwise >= 0
     # whenever k1 <= 3 and k2 >= 0.
-    source = (0.5 * p.k1) * u**2 + (0.5 * (3.0 - p.k1)) * ux**2 + (0.5 * p.k2) * rho**2
+    source = (0.5 * k1) * u**2 + (0.5 * (3.0 - k1)) * ux**2 + (0.5 * k2) * rho**2
     conv0 = float(g.helmholtz_inv(source)[j0])
     sym = math.nan if symmetry_mode is None else symmetry_residual(s, symmetry_mode, g)
     return DiagRecord(
         step=step,
         t=s.t,
         dt=dt,
-        l2_u=math.sqrt(max(0.0, g.spectrum_norm_sq(f.uh, 0.0))),
-        hs_u=math.sqrt(max(0.0, g.spectrum_norm_sq(f.uh, hs_order))),
-        hsm1_rho=math.sqrt(max(0.0, g.spectrum_norm_sq(f.rh, hs_order - 1.0))),
+        l2_u=math.sqrt(max(0.0, g.spectrum_norm_sq(uh, 0.0))),
+        hs_u=math.sqrt(max(0.0, g.spectrum_norm_sq(uh, hs_order))),
+        hsm1_rho=math.sqrt(max(0.0, g.spectrum_norm_sq(rh, hs_order - 1.0))),
         min_ux=float(np.min(ux)),
         max_ux=float(np.max(ux)),
         sup_rho=float(np.max(np.abs(rho))),
-        sup_rhox=float(np.max(np.abs(f.rhox))),
-        e1=es.i_m2 + es.i_mx2 + es.i_rho2 + es.i_rhox2 + es.i_rhoxx2,
-        e2=es.i_m2 + es.i_rho2 + es.i_rhox2,
-        int_rho=g.integrate(rho),
+        sup_rhox=float(np.max(np.abs(rhox))),
+        e1=i_m2 + i_mx2 + i_rho2 + i_rhox2 + i_rhoxx2,
+        e2=i_m2 + i_rho2 + i_rhox2,
+        int_rho=I(rho),
         u0=float(u[j0]),
         ux0=float(ux[j0]),
-        uxx0=float(f.uxx[j0]),
+        uxx0=float(uxx[j0]),
         rho0=float(rho[j0]),
         conv0=conv0,
-        i_m2=es.i_m2,
-        i_rho2=es.i_rho2,
-        i_rhox2=es.i_rhox2,
-        i_rhoxx2=es.i_rhoxx2,
-        s_m2=es.s_m2,
-        s_rho2=es.s_rho2,
-        s_rhox2=es.s_rhox2,
-        s_rhoxx2=es.s_rhoxx2,
+        i_m2=i_m2,
+        i_rho2=i_rho2,
+        i_rhox2=i_rhox2,
+        i_rhoxx2=i_rhoxx2,
+        s_m2=(2.0 * k1 - 1.0) * I(m**2 * ux) - k2 * I(ux * rho**2)
+        + k2 * I(uxxx * rho**2),
+        s_rho2=k3 * I(ux * rho**2),
+        s_rhox2=3.0 * k3 * I(ux * rhox**2) - k3 * I(uxxx * rho**2),
+        s_rhoxx2=5.0 * k3 * I(ux * rhoxx**2)
+        + k3 * I(uxxx * (2.0 * rho * rhoxx - 3.0 * rhox**2)),
         transport_res=transport_res,
         symmetry_res=sym,
         qx_min=qx_min,
@@ -282,6 +220,26 @@ def _exp_envelope(ts, vals, base: float, rate, slack: float):
     return bounds, first_bad
 
 
+def _ux_extremum(records, branch: Branch) -> float:
+    """M1: the largest observed excursion of u_x on the branch's side(s)."""
+    min_ux = np.array([r.min_ux for r in records])
+    max_ux = np.array([r.max_ux for r in records])
+    if branch is Branch.NEG_INF_UX:
+        return max(0.0, float(-np.min(min_ux)))
+    if branch is Branch.POS_INF_UX:
+        return max(0.0, float(np.max(max_ux)))
+    return float(np.max(np.maximum(np.abs(min_ux), np.abs(max_ux))))
+
+
+def _energy_envelope(records, field: str, c: float, slack: float):
+    """(first violation, worst ratio) of a record field against f(0) e^{ct}."""
+    ts = np.array([r.t for r in records])
+    vals = np.array([getattr(r, field) for r in records])
+    bounds, first_bad = _exp_envelope(ts, vals, float(vals[0]), c, slack)
+    worst = max([0.0] + [v / b for v, b in zip(vals, bounds) if b > 0.0])
+    return first_bad, worst
+
+
 def _centered_slope(t0, t1, t2, f0, f1, f2) -> float:
     """Three-point derivative at the middle time, any spacing."""
     h1 = t1 - t0
@@ -292,49 +250,13 @@ def _centered_slope(t0, t1, t2, f0, f1, f2) -> float:
     )
 
 
-@dataclass(frozen=True)
-class IdentityResiduals:
-    r_m2: float
-    r_rho2: float
-    r_rhox2: float
-    r_rhoxx2: float
-
-
-def identity_residuals(
-    s_prev: State, s_mid: State, s_next: State, p: ModelParams, g: Grid
-) -> IdentityResiduals:
-    """|d/dt of the left integral - right quadrature| at the middle time.
-
-    The time derivative is a centered difference over the three states,
-    so the residual of an exact identity decays as the square of the
-    recording interval.
-    """
-    e0 = energy_scalars(s_prev, p, g)
-    e1 = energy_scalars(s_mid, p, g)
-    e2 = energy_scalars(s_next, p, g)
-    t0, t1, t2 = s_prev.t, s_mid.t, s_next.t
-
-    def res(attr_i: str, attr_s: str) -> float:
-        slope = _centered_slope(
-            t0, t1, t2,
-            getattr(e0, attr_i), getattr(e1, attr_i), getattr(e2, attr_i),
-        )
-        return abs(slope - getattr(e1, attr_s))
-
-    return IdentityResiduals(
-        r_m2=res("i_m2", "s_m2"),
-        r_rho2=res("i_rho2", "s_rho2"),
-        r_rhox2=res("i_rhox2", "s_rhox2"),
-        r_rhoxx2=res("i_rhoxx2", "s_rhoxx2"),
-    )
-
-
 def fill_identity_residuals(records: list[DiagRecord]) -> None:
     """Populate r_* on interior records from the stored i_*/s_* scalars.
 
-    Equivalent to identity_residuals over the recorded states, but
-    works from scalars so full fields need not be kept.  Endpoints
-    keep r_* = 0.0 (no centered difference exists there).
+    r_* = |centered d/dt of the left integral - right quadrature| at the
+    middle time; the residual of an exact identity decays as the square
+    of the recording interval.  Endpoints keep r_* = 0.0 (no centered
+    difference exists there).
     """
     pairs = (("i_m2", "s_m2", "r_m2"), ("i_rho2", "s_rho2", "r_rho2"),
              ("i_rhox2", "s_rhox2", "r_rhox2"), ("i_rhoxx2", "s_rhoxx2", "r_rhoxx2"))
@@ -375,29 +297,21 @@ def gronwall_check_h2(records, p: ModelParams, slack: float = 1e-8) -> GronwallR
     statement about the run.
     """
     sb = classify_scenario(p, Framework.H2)
-    ts = np.array([r.t for r in records])
-    min_ux = np.array([r.min_ux for r in records])
-    max_ux = np.array([r.max_ux for r in records])
-    e2 = np.array([r.e2 for r in records])
-    rho0_sup = records[0].sup_rho
-    T = float(ts[-1])
+    m1 = _ux_extremum(records, sb.branch)
+    rho0_sup, T = records[0].sup_rho, float(records[-1].t)
     k1, k2, k3 = p.k1, p.k2, p.k3
 
     if sb.branch is Branch.NEG_INF_UX:
-        m1 = max(0.0, float(-np.min(min_ux)))
         c = (-2.0 * k1 + k2 - 4.0 * k3 + 1.0) * m1 \
             + _exp_term(2.0 * (k2 - k3) * rho0_sup, -k3 * m1 * T)
     elif sb.branch is Branch.POS_INF_UX:
-        m1 = max(0.0, float(np.max(max_ux)))
         c = (2.0 * k1 - k2 + 4.0 * k3 - 1.0) * m1 \
             + _exp_term(2.0 * (k3 - k2) * rho0_sup, k3 * m1 * T)
     else:
-        m1 = float(np.max(np.maximum(np.abs(min_ux), np.abs(max_ux))))
         c = (abs(2.0 * k1 - 1.0) + abs(k3 - k2) + 3.0 * abs(k3)) * m1 \
             + _exp_term(2.0 * abs(k2 - k3) * rho0_sup, abs(k3) * m1 * T)
 
-    bounds, first_bad = _exp_envelope(ts, e2, float(e2[0]), c, slack)
-    worst = max([0.0] + [v / b for v, b in zip(e2, bounds) if b > 0.0])
+    first_bad, worst = _energy_envelope(records, "e2", c, slack)
     return GronwallResult(
         branch=sb.branch,
         boundary_overlap=sb.boundary_overlap,
@@ -435,32 +349,25 @@ def h3_energy_check(records, p: ModelParams, slack: float = 1e-8) -> H3EnergyRes
     suppressed (hence the flag).
     """
     sb = classify_scenario(p, Framework.HS)
-    ts = np.array([r.t for r in records])
-    min_ux = np.array([r.min_ux for r in records])
-    max_ux = np.array([r.max_ux for r in records])
-    e1 = np.array([r.e1 for r in records])
     m2 = float(np.max([r.sup_rhox for r in records]))
-    rho0_sup = records[0].sup_rho
-    T = float(ts[-1])
+    if sb.branch is Branch.TWO_SIDED_UX:
+        return H3EnergyResult(False, sb.branch, 0.0, m2, 0.0, True, None, 0.0)
+    m1 = _ux_extremum(records, sb.branch)
+    rho0_sup, T = records[0].sup_rho, float(records[-1].t)
     k1, k2, k3 = p.k1, p.k2, p.k3
 
     if sb.branch is Branch.NEG_INF_UX:
-        m1 = max(0.0, float(-np.min(min_ux)))
         c = (-3.0 * k1 + k2 - 9.0 * k3) * m1 \
             + _exp_term(3.0 * (abs(2.0 * k2 - k3) + 2.0 * abs(k3 - k2))
                         * rho0_sup, -k3 * m1 * T) \
             + 3.0 * abs(2.0 * k2 + 3.0 * k3) * m2
-    elif sb.branch is Branch.POS_INF_UX:
-        m1 = max(0.0, float(np.max(max_ux)))
+    else:
         c = (3.0 * k1 - k2 + 9.0 * k3) * m1 \
             + _exp_term(3.0 * (abs(2.0 * k2 - k3) + 2.0 * abs(k3 - k2))
                         * rho0_sup, k3 * m1 * T) \
             + 3.0 * abs(2.0 * k2 + 3.0 * k3) * m2
-    else:
-        return H3EnergyResult(False, sb.branch, 0.0, m2, 0.0, True, None, 0.0)
 
-    bounds, first_bad = _exp_envelope(ts, e1, float(e1[0]), c, slack)
-    worst = max([0.0] + [v / b for v, b in zip(e1, bounds) if b > 0.0])
+    first_bad, worst = _energy_envelope(records, "e1", c, slack)
     return H3EnergyResult(True, sb.branch, m1, m2, c, first_bad is None,
                           first_bad, worst)
 

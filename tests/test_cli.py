@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shutil
+from concurrent.futures import Future
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,6 +10,7 @@ import pytest
 
 from bfamily2c import (CaseTag, Framework, InitKind, RunReport, RunStatus,
                        SymmetryMode, make_params)
+from bfamily2c import cli
 from bfamily2c.cli import (SWEEP_COLUMNS, ConfigError, config_echo, main,
                            parse_config, read_records, slope_bound_payload,
                            write_diagnostics_csv, write_extras_csv)
@@ -321,9 +323,8 @@ def test_exit_codes(tmp_path):
     assert main(["check", str(tmp_path / "nowhere.json")]) == 3
 
 
-def test_cmd_sweep(tmp_path, monkeypatch):
-    monkeypatch.setenv("BFAMILY2C_WORKERS", "1")
-    cfg = {
+def sweep_config(tmp_path):
+    return {
         "sweep": {"case": ["case_i"], "b": [2.0, 3.0], "amplitude": [0.5]},
         "grid": {"L": 20.0, "N": 256},
         "control": {"t_end": 0.05},
@@ -333,6 +334,10 @@ def test_cmd_sweep(tmp_path, monkeypatch):
         },
         "outputs": {"directory": str(tmp_path / "sw"), "char_label_stride": 0},
     }
+
+
+def test_cmd_sweep(tmp_path):
+    cfg = sweep_config(tmp_path)
     assert main(["sweep", str(write_config(tmp_path, cfg))]) == 0
     lines = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
     assert lines[0] == ("case,b,k1,k2,k3,amplitude,status,t_final,"
@@ -341,6 +346,37 @@ def test_cmd_sweep(tmp_path, monkeypatch):
     assert lines[1].startswith("case_i,2,2,4,1,0.5,reached_t_end")
     assert (tmp_path / "sw" / "case_i_b2_a0p5" / "manifest.json").exists()
     assert (tmp_path / "sw" / "case_i_b3_a0p5" / "manifest.json").exists()
+
+
+class SerialPool:
+    """Stands in for the sweep's process pool: runs each job at submit."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_sweep_parses_each_member_once(tmp_path, monkeypatch):
+    parsed = []
+    real_parse = cli.parse_config
+    monkeypatch.setattr(cli, "parse_config",
+                        lambda cfg: parsed.append(cfg) or real_parse(cfg))
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    assert main(["sweep", str(write_config(tmp_path, sweep_config(tmp_path)))]) == 0
+    assert len(parsed) == 2
+    lines = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
+    assert lines[1].startswith("case_i,2,2,4,1,0.5,reached_t_end")
+    assert lines[2].startswith("case_i,3,3,6,1,0.5,reached_t_end")
 
 
 @pytest.mark.parametrize("sweep, needle", [
