@@ -26,7 +26,7 @@ def _dense_interpolate(g: Grid, f: np.ndarray, points: np.ndarray) -> np.ndarray
     """The direct M x N/2 trigonometric sum of one field at M points.
 
     Grid.interpolate evaluated exactly this until it moved to anchored
-    blocks; it stays here as their reference.
+    blocks and then to a NUFFT; it stays here as their reference.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=float))
     pts = (pts + g.L) % (2.0 * g.L) - g.L
@@ -37,9 +37,46 @@ def _dense_interpolate(g: Grid, f: np.ndarray, points: np.ndarray) -> np.ndarray
     return vals / g.N
 
 
+def _anchored_interpolate(g: Grid, f: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The trigonometric sum of one field (N,) or a stack (F, N) at M points,
+    through anchored blocks of modes.
+
+    The modes n = aB + j (0 <= j < B) are summed through the
+    factorisation e^{i k_n y} = e^{i k_aB y} e^{i k_j y}, so the basis
+    costs M (B + N/(2B)) complex exponentials instead of M N/2, and all
+    fields share it.  Grid.interpolate evaluated this before it became a
+    NUFFT; it stays here as a second reference, exact in the Nyquist
+    mode, with the same shapes in and out.
+    """
+    f = np.asarray(f, dtype=float)
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    y = (pts + g.L) % (2.0 * g.L)
+    fh = np.fft.rfft(f, axis=-1).reshape(-1, g.k.size)
+    half = g.N // 2
+    block = math.isqrt(half)                  # B minimises B + N/(2B)
+    anchors = -(-half // block)               # A blocks cover n < N/2
+    # positive modes 1 .. N/2-1, as an (A, B) table per field
+    coef = np.zeros((fh.shape[0], anchors * block), dtype=complex)
+    coef[:, 1:half] = fh[:, 1:half]
+    coef = coef.reshape(-1, block).T          # (B, F*A)
+    near = np.exp(1j * np.outer(y, g.k[:block]))               # (M, B)
+    far = np.exp(1j * np.outer(y, g.k[:anchors * block:block]))  # (M, A)
+    inner = np.einsum("mfa,ma->fm", (near @ coef).reshape(y.size, -1, anchors), far)
+    # sum over positive modes twice (conjugate symmetry), Nyquist once
+    vals = (np.real(fh[:, :1]) + 2.0 * np.real(inner)
+            + np.real(fh[:, -1:]) * np.cos(y * g.k[-1]))
+    out = vals / g.N if np.ndim(points) else vals[:, 0] / g.N
+    return out[0] if f.ndim == 1 else out
+
+
 @pytest.fixture
 def dense_interpolate():
     return _dense_interpolate
+
+
+@pytest.fixture
+def anchored_interpolate():
+    return _anchored_interpolate
 
 
 def _reference_rhs(s: State, p, g: Grid, dealias: bool = True) -> Tendency:

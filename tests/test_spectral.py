@@ -176,19 +176,24 @@ def test_interpolate_band_limited_offgrid(grid20, rng, dense_interpolate):
     assert np.max(np.abs(grid20.interpolate(f, pts) - exact)) < 1e-11
 
 
-@pytest.mark.parametrize("N", [64, 1024, 4096])
-def test_interpolate_matches_dense_sum(N, rng, dense_interpolate):
-    g = Grid(20.0, N)
-    # O(1) modes n <= 24 and every mode up to Nyquist at 1e-3, so each
-    # anchored block carries weight.  Both sums round the phase k_n y
-    # by ~eps k_n y, so O(1) content at n ~ N/2 would put ~5e-13 of
-    # rounding between any two correct evaluations at N = 4096.
+def _interpolation_fields(N, rng):
+    """Three fields with O(1) modes n <= 24 and every mode up to Nyquist
+    at 1e-3, so the whole spectrum carries weight.  Any two sums round
+    the phase k_n y by ~eps k_n y, so O(1) content at n ~ N/2 would put
+    ~5e-13 of rounding between two correct evaluations at N = 4096."""
     fields = []
     for _ in range(3):
         fh = 1e-3 * (rng.standard_normal(N // 2 + 1)
                      + 1j * rng.standard_normal(N // 2 + 1))
         fh[:25] = rng.standard_normal(25) + 1j * rng.standard_normal(25)
         fields.append(np.fft.irfft(fh, n=N))
+    return fields
+
+
+@pytest.mark.parametrize("N", [64, 1024, 4096])
+def test_interpolate_matches_dense_sum(N, rng, dense_interpolate):
+    g = Grid(20.0, N)
+    fields = _interpolation_fields(N, rng)
     pts = np.concatenate([rng.uniform(-3 * g.L, 3 * g.L, 300), g.x[::N // 64]])
     single = [g.interpolate(f, pts) for f in fields]
     for f, vals in zip(fields, single):
@@ -202,6 +207,33 @@ def test_interpolate_matches_dense_sum(N, rng, dense_interpolate):
     for bad in (np.zeros((2, N + 1)), np.zeros((1, 2, N))):
         with pytest.raises(ValueError):
             g.interpolate(bad, pts)
+
+
+@pytest.mark.parametrize("N", [1024, 4096])
+def test_interpolate_matches_anchored_sum(N, rng, anchored_interpolate):
+    g = Grid(20.0, N)
+    fields = np.stack(_interpolation_fields(N, rng))
+    pts = rng.uniform(-3 * g.L, 3 * g.L, 2000)
+    reference = anchored_interpolate(g, fields, pts)
+    for f, row, ref in zip(fields, g.interpolate(fields, pts), reference):
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(f))
+
+
+@pytest.mark.parametrize("N", [64, 1024, 4096])
+def test_interpolate_band_edge_and_nyquist(N, rng, dense_interpolate):
+    g = Grid(20.0, N)
+    pts = rng.uniform(-g.L, g.L, 400)
+    # O(1) content in every mode the 2/3 rule keeps, none decaying
+    fh = np.zeros(N // 2 + 1, dtype=complex)
+    fh[:g.n_keep] = N * (rng.standard_normal(g.n_keep)
+                         + 1j * rng.standard_normal(g.n_keep))
+    f = np.fft.irfft(fh, n=N)
+    err = np.max(np.abs(g.interpolate(f, pts) - dense_interpolate(g, f, pts)))
+    assert err <= 1e-12 * np.max(np.abs(f))
+    # the unit Nyquist mode is the cosine through its node values
+    nyquist = np.cos(np.pi * np.arange(N))
+    exact = np.cos(g.k[-1] * (pts + g.L))
+    assert np.max(np.abs(g.interpolate(nyquist, pts) - exact)) <= 1e-11
 
 
 def test_interpolate_wraps_periodically(grid20, rng):
