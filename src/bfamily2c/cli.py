@@ -106,6 +106,10 @@ def _take(sec: dict, path: str, key: str, kind, default=...):
     accepted, noun = _KINDS[kind]
     if not isinstance(val, accepted) or (isinstance(val, bool) and kind is not bool):
         raise ConfigError(f"field '{where}' must be {noun}, got {val!r}")
+    # json reads NaN, Infinity and integers past float range; a NaN
+    # tolerance would pass every check
+    if kind is float and not abs(val) <= sys.float_info.max:
+        raise ConfigError(f"field '{where}' must be finite, got {val!r}")
     return kind(val)
 
 

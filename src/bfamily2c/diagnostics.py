@@ -128,22 +128,17 @@ def make_record(
 ) -> DiagRecord:
     """Evaluate all per-time diagnostics of one state.
 
-    Every spectral quantity comes from one rfft of u and one of rho
-    (nine transforms), plus one forward and one inverse transform for
-    the nonlocal source at the origin.
+    Every spectral quantity comes from one rfft of the stack (u, rho)
+    and one irfft of the seven derived spectra, plus one forward and
+    one inverse transform for the nonlocal source at the origin.
     """
-    rfft, irfft, d, N = np.fft.rfft, np.fft.irfft, g.deriv_mult, g.N
-    u, rho = s.u, s.rho
-    uh = rfft(u)
-    rh = rfft(rho)
+    d = g.deriv_mult
+    u, rho = s.y
+    uh, rh = np.fft.rfft(s.y)
     mh = uh * g.helm
-    ux = irfft(uh * d[1], n=N)
-    uxx = irfft(uh * d[2], n=N)
-    uxxx = irfft(uh * d[3], n=N)
-    m = irfft(mh, n=N)
-    mx = irfft(mh * g.ik, n=N)
-    rhox = irfft(rh * d[1], n=N)
-    rhoxx = irfft(rh * d[2], n=N)
+    ux, uxx, uxxx, m, mx, rhox, rhoxx = np.fft.irfft(np.stack(
+        [uh * d[1], uh * d[2], uh * d[3], mh, mh * g.ik, rh * d[1], rh * d[2]]),
+        n=g.N)
     I = g.integrate
     k1, k2, k3 = p.k1, p.k2, p.k3
     i_m2, i_mx2, i_rho2 = I(m**2), I(mx**2), I(rho**2)

@@ -109,13 +109,12 @@ def build_initial(spec_u: InitSpec, spec_rho: InitSpec, g: Grid) -> State:
     each node x > -L has its mirror), so the parity claims of the odd
     and even families hold exactly in floating point.
     """
-    u0 = profile(spec_u, g)
-    rho0 = profile(spec_rho, g)
-    _check_boundary_decay(u0, "u", g)
-    _check_boundary_decay(rho0, "rho", g)
-    if not (np.all(np.isfinite(u0)) and np.all(np.isfinite(rho0))):
+    y0 = np.stack([profile(spec_u, g), profile(spec_rho, g)])
+    for f, name in zip(y0, ("u", "rho")):
+        _check_boundary_decay(f, name, g)
+    if not np.all(np.isfinite(y0)):
         raise ValueError("non-finite initial data")
-    return State(t=0.0, u=u0, rho=rho0)
+    return State(t=0.0, y=y0)
 
 
 def blowup_bound(p: ModelParams, u0p0: float) -> float:

@@ -140,7 +140,7 @@ class Grid:
     def dealias(self, f: np.ndarray) -> np.ndarray:
         """Orthogonal projection dropping modes above N/3 (2/3 rule)."""
         fh = np.fft.rfft(f)
-        fh[self.n_keep:] = 0.0
+        fh[..., self.n_keep:] = 0.0
         return np.fft.irfft(fh, n=self.N)
 
     # ------------------------------------------------------------------

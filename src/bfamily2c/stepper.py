@@ -146,10 +146,9 @@ def step_rk4(
     p: ModelParams,
     g: Grid,
     dealias: bool = True,
-    collect_stages: bool = False,
     k1: Tendency | None = None,
-):
-    """One classical RK4 step; optionally returns the four stage fields.
+) -> tuple[State, list[tuple[float, np.ndarray, np.ndarray]]]:
+    """One classical RK4 step: the new state and the four stage fields.
 
     k1 is the stage-1 tendency of s when the caller has it (run() takes
     its u_x for the step size); otherwise it is evaluated here.
@@ -160,25 +159,20 @@ def step_rk4(
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    t, u, rho = s.t, s.u, s.rho
+    t, y = s.t, s.y
     k = k1 if k1 is not None else _stage_tendency(s, p, g, dealias, 0)
-    ks, stages = [k], [(t, u, k.ux)]
+    ks, stages = [k], [(t, s.u, k.ux)]
     for stage, w in ((1, 0.5), (2, 0.5), (3, 1.0)):
-        ui = u + w * dt * k.du
-        k = _stage_tendency(State(t=t, u=ui, rho=rho + w * dt * k.drho),
-                            p, g, dealias, stage)
+        si = State(t=t + w * dt, y=y + w * dt * k.dy)
+        k = _stage_tendency(si, p, g, dealias, stage)
         ks.append(k)
-        stages.append((t + w * dt, ui, k.ux))
+        stages.append((si.t, si.u, k.ux))
 
     a, b, c, d = ks
-    u_new = u + (dt / 6.0) * (a.du + 2.0 * b.du + 2.0 * c.du + d.du)
-    rho_new = rho + (dt / 6.0) * (a.drho + 2.0 * b.drho + 2.0 * c.drho + d.drho)
-    if not (np.all(np.isfinite(u_new)) and np.all(np.isfinite(rho_new))):
+    y_new = y + (dt / 6.0) * (a.dy + 2.0 * b.dy + 2.0 * c.dy + d.dy)
+    if not np.all(np.isfinite(y_new)):
         raise OverflowSignal(4, t)
-    out = State(t=t + dt, u=u_new, rho=rho_new)
-    if collect_stages:
-        return out, stages
-    return out
+    return State(t=t + dt, y=y_new), stages
 
 
 @dataclass(frozen=True)
@@ -220,7 +214,7 @@ def _detection_candidates(
     branch: Branch,
     rho_x_relevant: bool,
     ux: np.ndarray,
-    rhox: np.ndarray | None,
+    rhox: np.ndarray,
     threshold: float,
 ):
     """(quantity, signed value, node index) for each watched gradient over threshold."""
@@ -233,7 +227,7 @@ def _detection_candidates(
         j = int(np.argmax(ux))
         if ux[j] > threshold:
             hits.append((BlowupQuantity.MAX_UX, float(ux[j]), j))
-    if rho_x_relevant and rhox is not None:
+    if rho_x_relevant:
         j = int(np.argmax(np.abs(rhox)))
         if abs(rhox[j]) > threshold:
             hits.append((BlowupQuantity.SUP_RHOX, float(abs(rhox[j])), j))
@@ -273,7 +267,6 @@ def run(
     """
     diag = diag or DiagSettings()
     scenario = classify_scenario(p, ctl.framework)
-    watch_rhox = scenario.rho_x_relevant
 
     char = (init_characteristics(s0.rho, p, g, diag.char_stride)
             if diag.char_stride > 0 else None)
@@ -305,8 +298,7 @@ def run(
         last_recorded = n_steps
 
     def snapshot(state: State) -> None:
-        traj.snapshots.append((n_steps, State(t=state.t, u=state.u.copy(),
-                                              rho=state.rho.copy())))
+        traj.snapshots.append((n_steps, State(t=state.t, y=state.y.copy())))
 
     record(s, 0.0)
     if diag.snapshot_every > 0:
@@ -318,9 +310,8 @@ def run(
             k1 = _stage_tendency(s, p, g, ctl.dealias, 0)
             choice = choose_dt(s, p, ctl, g, k1.ux)
             dt = min(choice.dt, ctl.t_end - s.t)
+            s_new, stages = step_rk4(s, dt, p, g, dealias=ctl.dealias, k1=k1)
             if char is not None:
-                s_new, stages = step_rk4(s, dt, p, g, dealias=ctl.dealias,
-                                         collect_stages=True, k1=k1)
                 char = advance_characteristics(char, stages, p, g, dt)
                 if char.near_boundary and not warned_boundary:
                     logger.warning(
@@ -328,8 +319,6 @@ def run(
                         "domain half-width at t=%.6g; transport residuals may "
                         "degrade", 100 * (1 - BOUNDARY_MARGIN), char.t)
                     warned_boundary = True
-            else:
-                s_new = step_rk4(s, dt, p, g, dealias=ctl.dealias, k1=k1)
         except OverflowSignal as exc:
             status = RunStatus.OVERFLOW
             overflow_stage = exc.stage_index
@@ -348,10 +337,9 @@ def run(
 
         # only a collapsed step short of t_end can report blow-up
         if choice.collapsed and ctl.t_end - s.t > t_eps:
-            hits = _detection_candidates(
-                scenario.branch, watch_rhox, g.derivative(s.u, 1),
-                g.derivative(s.rho, 1) if watch_rhox else None,
-                ctl.blowup_grad_threshold)
+            ux, rhox = g.derivative(s.y, 1)
+            hits = _detection_candidates(scenario.branch, scenario.rho_x_relevant,
+                                         ux, rhox, ctl.blowup_grad_threshold)
             if hits:
                 quantity, value, j = max(hits, key=lambda h: abs(h[1]))
                 blowup = BlowupDiagnostic(quantity=quantity, value=value,

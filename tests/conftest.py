@@ -93,7 +93,7 @@ def _reference_rhs(s: State, p, g: Grid, dealias: bool = True) -> Tendency:
         + (0.5 * p.k2) * da(rho * rho)
     du = da(u * ux) + g.dx_helmholtz_inv(source)
     drho = p.k3 * g.derivative(da(u * rho), 1)
-    return Tendency(du=du, drho=drho, ux=ux)
+    return Tendency(dy=np.stack([du, drho]), ux=ux)
 
 
 def _reference_record(s: State, dt: float, p, g: Grid, step: int = 0,

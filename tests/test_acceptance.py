@@ -74,10 +74,10 @@ def identity_run(grid_smooth):
     """Smooth case-(i) b=2 run at fixed dt=1e-3 to t=0.3, all states kept."""
     g = grid_smooth
     p = make_params(CaseTag.CASE_I, 2.0)
-    s = State(0.0, profile(GAUSS_U, g), profile(GAUSS_RHO, g))
+    s = State(0.0, np.stack([profile(GAUSS_U, g), profile(GAUSS_RHO, g)]))
     states = [s]
     for _ in range(300):
-        s = step_rk4(s, 1e-3, p, g)
+        s, _ = step_rk4(s, 1e-3, p, g)
         states.append(s)
     return p, g, states
 
@@ -86,7 +86,7 @@ def identity_run(grid_smooth):
 def transport_run(grid_smooth):
     g = grid_smooth
     p = make_params(CaseTag.CASE_I, 2.0)
-    s0 = State(0.0, profile(GAUSS_U, g), profile(GAUSS_RHO, g))
+    s0 = State(0.0, np.stack([profile(GAUSS_U, g), profile(GAUSS_RHO, g)]))
     traj, report = run(s0, p, StepControl(t_end=0.5), g,
                        diag=DiagSettings(char_stride=4))
     return p, traj, report
@@ -96,7 +96,7 @@ def transport_run(grid_smooth):
 def caseii_run(grid_smooth):
     g = grid_smooth
     p = make_params(CaseTag.CASE_II, 0.5)
-    s0 = State(0.0, profile(GAUSS_U, g), profile(GAUSS_RHO, g))
+    s0 = State(0.0, np.stack([profile(GAUSS_U, g), profile(GAUSS_RHO, g)]))
     traj, report = run(s0, p, StepControl(t_end=0.5), g)
     return p, traj, report
 
@@ -113,8 +113,8 @@ def smooth_suite(identity_run, transport_run, caseii_run):
 
 def breaking_run(g, b, rho_spec, mode, t_end):
     p = make_params(CaseTag.CASE_I, b)
-    s0 = State(0.0, profile(InitSpec(InitKind.ODD_GAUSSIAN), g),
-               profile(rho_spec, g))
+    s0 = State(0.0, np.stack([profile(InitSpec(InitKind.ODD_GAUSSIAN), g),
+                              profile(rho_spec, g)]))
     ctl = StepControl(t_end=t_end, blowup_grad_threshold=1e4,
                       resolution_tol=RESOLUTION_TOL)
     return (p, *run(s0, p, ctl, g,
@@ -124,8 +124,8 @@ def breaking_run(g, b, rho_spec, mode, t_end):
 
 def cubic_run(g, rho_spec, mode):
     p = make_params(CaseTag.CASE_I, 2.0)
-    s0 = State(0.0, profile(InitSpec(InitKind.ODD_CUBIC), g),
-               profile(rho_spec, g))
+    s0 = State(0.0, np.stack([profile(InitSpec(InitKind.ODD_CUBIC), g),
+                              profile(rho_spec, g)]))
     ctl = StepControl(t_end=CUBIC_T_END, blowup_grad_threshold=1e4,
                       resolution_tol=RESOLUTION_TOL)
     return (p, *run(s0, p, ctl, g,
@@ -245,12 +245,12 @@ def test_a01_inverse_helmholtz():
 def test_a02_rk4_self_convergence(grid_smooth):
     g = grid_smooth
     p = make_params(CaseTag.CASE_I, 2.0)
-    s0 = State(0.0, profile(GAUSS_U, g), profile(GAUSS_RHO, g))
+    s0 = State(0.0, np.stack([profile(GAUSS_U, g), profile(GAUSS_RHO, g)]))
 
     def advance(dt):
         s = s0
         for _ in range(round(0.2 / dt)):
-            s = step_rk4(s, dt, p, g)
+            s, _ = step_rk4(s, dt, p, g)
         return s.u
 
     ref = advance(5e-4)
@@ -346,7 +346,8 @@ def test_a10_zero_rho_and_odd_rho_variants(odd_rho_battery, cubic_runs,
                                            grid_smooth):
     g = grid_smooth
     p = make_params(CaseTag.CASE_I, 2.0)
-    s0 = State(0.0, profile(GAUSS_U, g), profile(InitSpec(InitKind.ZERO), g))
+    s0 = State(0.0, np.stack([profile(GAUSS_U, g),
+                              profile(InitSpec(InitKind.ZERO), g)]))
     traj, report = run(s0, p, StepControl(t_end=0.3), g,
                        diag=DiagSettings(snapshot_every=25))
     clauses = [

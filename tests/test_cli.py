@@ -142,8 +142,8 @@ def test_records_csv_round_trip(tmp_path, grid20, params_b2):
     import numpy as np
 
     from bfamily2c import DiagSettings, StepControl, State, SymmetryMode, run
-    s0 = State(0.0, grid20.x * np.exp(-grid20.x**2),
-               np.exp(-grid20.x**2))
+    s0 = State(0.0, np.stack([grid20.x * np.exp(-grid20.x**2),
+                              np.exp(-grid20.x**2)]))
     traj, _ = run(s0, params_b2, StepControl(t_end=0.05), grid20,
                   diag=DiagSettings(char_stride=4,
                                     symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN))
@@ -321,6 +321,23 @@ def test_exit_codes(tmp_path):
     cfg["grid"]["N"] = 10
     assert main(["run", str(write_config(tmp_path, cfg))]) == 2
     assert main(["check", str(tmp_path / "nowhere.json")]) == 3
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("outputs", "hs_order", math.nan),
+    ("checks", "gronwall_slack", math.nan),
+    ("model", "b", 10**400),
+])
+def test_non_finite_float_field_is_a_config_error(tmp_path, caplog,
+                                                  section, key, value):
+    # json reads NaN; a NaN order crashes the run, and a NaN slack makes
+    # every violation test false, so the check would pass vacuously.  An
+    # integer past float range crashed the conversion to float.
+    cfg = base_config()
+    cfg.setdefault(section, {})[key] = value
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert f"field '{section}.{key}' must be finite" in caplog.text
+    assert not (tmp_path / "out").exists()
 
 
 def sweep_config(tmp_path):

@@ -63,12 +63,12 @@ def test_symmetry_residual_modes(grid20):
     # profiles are exactly odd on the discrete torus
     u[0] = 0.0
     rho_odd[0] = 0.0
-    s = State(0.0, u, rho_even)
+    s = State(0.0, np.stack([u, rho_even]))
     assert symmetry_residual(s, SymmetryMode.U_ODD_RHO_EVEN, grid20) == 0.0
-    s = State(0.0, u, rho_odd)
+    s = State(0.0, np.stack([u, rho_odd]))
     assert symmetry_residual(s, SymmetryMode.U_ODD_RHO_ODD, grid20) == 0.0
     # broken parity is seen at full magnitude
-    s = State(0.0, u + 0.1, rho_even)
+    s = State(0.0, np.stack([u + 0.1, rho_even]))
     assert symmetry_residual(s, SymmetryMode.U_ODD_RHO_EVEN, grid20) \
         == pytest.approx(0.2, abs=1e-12)
 
@@ -77,7 +77,7 @@ def test_origin_checks_reads_node_values(grid20, params_b2):
     # the `origin` check reads these record fields
     u = grid20.x * np.exp(-grid20.x**2)
     rho = np.exp(-grid20.x**2)
-    oc = make_record(State(0.0, u, rho), 0.0, params_b2, grid20)
+    oc = make_record(State(0.0, np.stack([u, rho])), 0.0, params_b2, grid20)
     assert oc.u0 == 0.0
     assert oc.rho0 == 1.0
     assert abs(oc.uxx0) < 1e-12  # odd profile: even derivative vanishes at 0
@@ -87,7 +87,7 @@ def test_energy_scalars_formulas(grid20, params_b2):
     # recompute every integral with raw numpy on the same spectral pieces
     u = np.exp(-grid20.x**2)
     rho = 0.5 * np.exp(-(grid20.x - 1.0) ** 2)
-    es = make_record(State(0.0, u, rho), 0.0, params_b2, grid20)
+    es = make_record(State(0.0, np.stack([u, rho])), 0.0, params_b2, grid20)
     ux = grid20.derivative(u, 1)
     uxxx = grid20.derivative(u, 3)
     m = grid20.helmholtz(u)
@@ -110,7 +110,8 @@ def test_energy_scalars_formulas(grid20, params_b2):
 def test_make_record_composite_fields(grid20, params_b2):
     u = np.exp(-grid20.x**2)
     rho = 0.4 * np.exp(-grid20.x**2)
-    r = make_record(State(0.125, u, rho), 0.01, params_b2, grid20, step=7)
+    r = make_record(State(0.125, np.stack([u, rho])), 0.01, params_b2, grid20,
+                    step=7)
     # m_x from the spectrum of u, as the record takes it
     mx = np.fft.irfft(np.fft.rfft(u) * grid20.helm * grid20.ik, n=grid20.N)
     i_mx2 = grid20.integrate(mx**2)
@@ -130,14 +131,15 @@ def test_conv0_nonnegative_for_admissible_coefficients(grid20, rng):
     for _ in range(5):
         u = grid20.dealias(rng.standard_normal(grid20.N))
         rho = grid20.dealias(rng.standard_normal(grid20.N))
-        r = make_record(State(0.0, u, rho), 0.0, p, grid20)
+        r = make_record(State(0.0, np.stack([u, rho])), 0.0, p, grid20)
         assert r.conv0 > -1e-12
 
 
 def test_fill_matches_direct_identity_residuals(grid20, params_b2):
-    s0 = State(0.0, np.exp(-grid20.x**2), 0.5 * np.exp(-grid20.x**2))
-    s1 = step_rk4(s0, 1e-2, params_b2, grid20)
-    s2 = step_rk4(s1, 1e-2, params_b2, grid20)
+    s0 = State(0.0, np.stack([np.exp(-grid20.x**2),
+                              0.5 * np.exp(-grid20.x**2)]))
+    s1, _ = step_rk4(s0, 1e-2, params_b2, grid20)
+    s2, _ = step_rk4(s1, 1e-2, params_b2, grid20)
     recs = [make_record(s, 1e-2, params_b2, grid20) for s in (s0, s1, s2)]
     fill_identity_residuals(recs)
     ts = [r.t for r in recs]
@@ -281,8 +283,9 @@ def test_conservation_check_rel_denominator():
 def test_record_matches_per_quantity_reference(N, rng, reference_record):
     g = Grid(20.0, N)
     p = make_params(CaseTag.CASE_I, 2.0)
-    states = [State(0.25, g.x / 2 * np.exp(-g.x**2 / 4), 0.5 * np.exp(-g.x**2 / 4)),
-              State(0.5, rng.standard_normal(N), rng.standard_normal(N))]
+    states = [State(0.25, np.stack([g.x / 2 * np.exp(-g.x**2 / 4),
+                                    0.5 * np.exp(-g.x**2 / 4)])),
+              State(0.5, rng.standard_normal((2, N)))]
     for s in states:
         got = make_record(s, 0.01, p, g, step=3, hs_order=2.5,
                           symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)

@@ -28,10 +28,10 @@ def test_rhs_matches_finite_difference_line_oracle():
     du_oracle = u * ux + gf.green_convolve(source, Kernel.DP)
     drho_oracle = p.k3 * fd(u * rho)
 
-    s = State(0.0, np.exp(-gc.x**2), 0.5 * np.exp(-gc.x**2))
+    s = State(0.0, np.stack([np.exp(-gc.x**2), 0.5 * np.exp(-gc.x**2)]))
     t = eval_rhs(s, p, gc)
-    assert np.max(np.abs(t.du - du_oracle[::stride])) < 1e-5
-    assert np.max(np.abs(t.drho - drho_oracle[::stride])) < 1e-5
+    assert np.max(np.abs(t.dy[0] - du_oracle[::stride])) < 1e-5
+    assert np.max(np.abs(t.dy[1] - drho_oracle[::stride])) < 1e-5
 
 
 def test_drho_has_exactly_zero_mean(grid20, params_b2, rng):
@@ -39,18 +39,20 @@ def test_drho_has_exactly_zero_mean(grid20, params_b2, rng):
     # construction, so int rho is conserved to roundoff
     u = rng.standard_normal(grid20.N)
     rho = rng.standard_normal(grid20.N)
-    t = eval_rhs(State(0.0, grid20.dealias(u), grid20.dealias(rho)),
+    t = eval_rhs(State(0.0, np.stack([grid20.dealias(u),
+                                      grid20.dealias(rho)])),
                  params_b2, grid20)
-    assert abs(grid20.integrate(t.drho)) < 1e-13
+    assert abs(grid20.integrate(t.dy[1])) < 1e-13
 
 
 def test_zero_rho_decouples_k2(grid20):
     u = np.exp(-grid20.x**2)
     z = np.zeros(grid20.N)
-    t_a = eval_rhs(State(0.0, u, z), custom_params(2.0, 4.0, 1.0), grid20)
-    t_b = eval_rhs(State(0.0, u, z), custom_params(2.0, -7.0, 1.0), grid20)
-    assert np.array_equal(t_a.du, t_b.du)
-    assert np.max(np.abs(t_a.drho)) == 0.0
+    s = State(0.0, np.stack([u, z]))
+    t_a = eval_rhs(s, custom_params(2.0, 4.0, 1.0), grid20)
+    t_b = eval_rhs(s, custom_params(2.0, -7.0, 1.0), grid20)
+    assert np.array_equal(t_a.dy[0], t_b.dy[0])
+    assert np.max(np.abs(t_a.dy[1])) == 0.0
 
 
 def test_tendency_parity(grid20, params_b2):
@@ -58,30 +60,32 @@ def test_tendency_parity(grid20, params_b2):
     # up to transform roundoff)
     u = grid20.x / 2 * np.exp(-grid20.x**2)
     rho = 0.5 * grid20.x**2 * np.exp(-grid20.x**2)
-    t = eval_rhs(State(0.0, u, rho), params_b2, grid20)
-    assert np.max(np.abs(t.du + mirror(t.du))) < 1e-13
-    assert np.max(np.abs(t.drho - mirror(t.drho))) < 1e-13
+    t = eval_rhs(State(0.0, np.stack([u, rho])), params_b2, grid20)
+    assert np.max(np.abs(t.dy[0] + mirror(t.dy[0]))) < 1e-13
+    assert np.max(np.abs(t.dy[1] - mirror(t.dy[1]))) < 1e-13
 
 
 def test_k3_scales_drho(grid20):
     u = np.exp(-grid20.x**2)
     rho = 0.3 * np.exp(-grid20.x**2)
-    t1 = eval_rhs(State(0.0, u, rho), custom_params(2.0, 4.0, 1.0), grid20)
-    t2 = eval_rhs(State(0.0, u, rho), custom_params(2.0, 4.0, -2.0), grid20)
-    assert np.allclose(t2.drho, -2.0 * t1.drho, atol=1e-14)
+    s = State(0.0, np.stack([u, rho]))
+    t1 = eval_rhs(s, custom_params(2.0, 4.0, 1.0), grid20)
+    t2 = eval_rhs(s, custom_params(2.0, 4.0, -2.0), grid20)
+    assert np.allclose(t2.dy[1], -2.0 * t1.dy[1], atol=1e-14)
 
 
 def test_nonfinite_state_raises(grid20, params_b2):
     u = np.full(grid20.N, 1e300)  # u*u overflows to inf
     with pytest.raises(FloatingPointError):
-        eval_rhs(State(0.0, u, np.zeros(grid20.N)), params_b2, grid20)
+        eval_rhs(State(0.0, np.stack([u, np.zeros(grid20.N)])), params_b2,
+                 grid20)
 
 
 def _oracle_states(g, rng):
-    smooth = State(0.0, g.x / 2 * np.exp(-g.x**2 / 4),
-                   0.5 * np.exp(-g.x**2 / 4))
+    smooth = State(0.0, np.stack([g.x / 2 * np.exp(-g.x**2 / 4),
+                                  0.5 * np.exp(-g.x**2 / 4)]))
     # white noise: content at every mode up to Nyquist
-    noise = State(0.0, rng.standard_normal(g.N), rng.standard_normal(g.N))
+    noise = State(0.0, rng.standard_normal((2, g.N)))
     return {"smooth": smooth, "noise": noise}
 
 
@@ -93,9 +97,9 @@ def test_fused_rhs_matches_separate_products(N, dealias, rng, reference_rhs):
     for name, s in _oracle_states(g, rng).items():
         t = eval_rhs(s, p, g, dealias=dealias)
         ref = reference_rhs(s, p, g, dealias=dealias)
-        for got, want in ((t.du, ref.du), (t.drho, ref.drho)):
+        for got, want in zip(t.dy, ref.dy):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
         # u_x is the spectral derivative bit for bit
         assert np.array_equal(t.ux, g.derivative(s.u, 1)), name
         # conservative form: the mean bin of drho is exactly zero
-        assert abs(np.sum(t.drho)) <= 1e-13 * np.max(np.abs(t.drho)) * np.sqrt(N), name
+        assert abs(np.sum(t.dy[1])) <= 1e-13 * np.max(np.abs(t.dy[1])) * np.sqrt(N), name

@@ -98,6 +98,18 @@ def test_dealias_drops_top_third(grid20):
     assert np.max(np.abs(grid20.dealias(f_drop))) < 1e-12
 
 
+def test_multipliers_act_on_each_row_of_a_stack(grid20, rng):
+    # a State holds (u, rho) as one (2, N) array, and run() takes the
+    # detection slopes of both rows in one call
+    y = rng.standard_normal((2, grid20.N))
+    ops = [lambda f: grid20.derivative(f, 1), lambda f: grid20.derivative(f, 3),
+           grid20.helmholtz, grid20.helmholtz_inv, grid20.dx_helmholtz_inv,
+           grid20.dealias]
+    for op in ops:
+        out = op(y)
+        assert all(np.array_equal(out[i], op(y[i])) for i in range(2))
+
+
 def test_tail_fraction(grid20):
     x, L, N = grid20.x, grid20.L, grid20.N
     low = np.cos(np.pi / L * x)

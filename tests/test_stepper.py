@@ -8,10 +8,11 @@ from bfamily2c import (CaseTag, DiagSettings, Framework, Grid, InitKind,
                        InitSpec, OverflowSignal, RunStatus, State,
                        StepControl, build_initial, choose_dt, custom_params,
                        make_params, run, step_rk4)
+from bfamily2c import stepper
 
 
 def smooth_state(g: Grid) -> State:
-    return State(0.0, np.exp(-g.x**2), 0.5 * np.exp(-g.x**2))
+    return State(0.0, np.stack([np.exp(-g.x**2), 0.5 * np.exp(-g.x**2)]))
 
 
 # ----------------------------------------------------------------------
@@ -33,7 +34,7 @@ def test_choose_dt_formula(grid20, params_b2):
 
 def test_choose_dt_clamps_to_dt_max(grid20, params_b2):
     # quiescent data: raw = cfl*dx ~ 0.047, well above the cap below
-    s = State(0.0, 1e-8 * np.exp(-grid20.x**2), np.zeros(grid20.N))
+    s = State(0.0, np.stack([1e-8 * np.exp(-grid20.x**2), np.zeros(grid20.N)]))
     choice = choose_dt(s, params_b2, StepControl(t_end=1.0, dt_max=0.01),
                        grid20, grid20.derivative(s.u, 1))
     assert choice.raw > 0.01
@@ -42,7 +43,7 @@ def test_choose_dt_clamps_to_dt_max(grid20, params_b2):
 
 
 def test_choose_dt_collapse_flag(grid20, params_b2):
-    s = State(0.0, 1e9 * np.exp(-grid20.x**2), np.zeros(grid20.N))
+    s = State(0.0, np.stack([1e9 * np.exp(-grid20.x**2), np.zeros(grid20.N)]))
     ctl = StepControl(t_end=1.0, dt_min=1e-6)
     choice = choose_dt(s, params_b2, ctl, grid20, grid20.derivative(s.u, 1))
     assert choice.collapsed
@@ -71,7 +72,7 @@ def test_step_rk4_fourth_order(grid20, params_b2):
     def advance(dt, t_end=0.2):
         s = smooth_state(grid20)
         for _ in range(round(t_end / dt)):
-            s = step_rk4(s, dt, params_b2, grid20)
+            s, _ = step_rk4(s, dt, params_b2, grid20)
         return s
 
     ref = advance(5e-4)
@@ -89,15 +90,15 @@ def test_step_rk4_validates_dt(grid20, params_b2):
 
 
 def test_step_rk4_overflow_signal(grid20, params_b2):
-    s = State(0.0, np.full(grid20.N, 1e200), np.zeros(grid20.N))
+    s = State(0.0, np.stack([np.full(grid20.N, 1e200), np.zeros(grid20.N)]))
     with pytest.raises(OverflowSignal) as exc:
         step_rk4(s, 1e-3, params_b2, grid20)
     assert exc.value.stage_index == 0
 
 
-def test_step_rk4_collect_stages(grid20, params_b2):
+def test_step_rk4_returns_stage_fields(grid20, params_b2):
     s = smooth_state(grid20)
-    out, stages = step_rk4(s, 1e-2, params_b2, grid20, collect_stages=True)
+    out, stages = step_rk4(s, 1e-2, params_b2, grid20)
     assert len(stages) == 4
     assert stages[0][0] == 0.0
     assert stages[1][0] == stages[2][0] == 0.5e-2
@@ -107,6 +108,31 @@ def test_step_rk4_collect_stages(grid20, params_b2):
     for _, u, ux in stages:
         assert np.array_equal(ux, grid20.derivative(u, 1))
     assert out.t == 1e-2
+
+
+def test_step_rk4_evaluates_each_stage_at_its_time(grid20, params_b2,
+                                                   monkeypatch):
+    # a time-dependent term would see these times; the start time at
+    # every stage integrates it to first order only
+    times, real = [], stepper.eval_rhs
+
+    def spy(s, *args, **kwargs):
+        times.append(s.t)
+        return real(s, *args, **kwargs)
+
+    def overflow(s, *args, **kwargs):
+        raise FloatingPointError("overflow")
+
+    s = State(0.25, smooth_state(grid20).y)
+    monkeypatch.setattr(stepper, "eval_rhs", spy)
+    _, stages = step_rk4(s, 1e-2, params_b2, grid20)
+    assert times == [t for t, _, _ in stages] == [0.25, 0.25 + 0.5e-2,
+                                                  0.25 + 0.5e-2, 0.25 + 1e-2]
+    # an overflow in a later stage names that stage's time
+    monkeypatch.setattr(stepper, "eval_rhs", overflow)
+    with pytest.raises(OverflowSignal) as exc:
+        step_rk4(s, 1e-2, params_b2, grid20, k1=real(s, params_b2, grid20))
+    assert (exc.value.stage_index, exc.value.t) == (1, 0.25 + 0.5e-2)
 
 
 # ----------------------------------------------------------------------
@@ -162,7 +188,7 @@ def test_run_is_deterministic(grid20, params_b2):
 
 
 def test_run_overflow_status(grid20, params_b2):
-    s = State(0.0, np.full(grid20.N, 1e200), np.zeros(grid20.N))
+    s = State(0.0, np.stack([np.full(grid20.N, 1e200), np.zeros(grid20.N)]))
     traj, rep = run(s, params_b2, StepControl(t_end=1.0), grid20,
                     diag=DiagSettings(char_stride=0))
     assert rep.status is RunStatus.OVERFLOW
@@ -175,7 +201,7 @@ def test_boundary_warning_names_margin_and_crossing_time(caplog):
     # last interior label, -k3 x = -3.5, passes -0.95 L = -3.8 once
     # t > 0.075, and the warning names the end of that step
     g = Grid(4.0, 64)
-    s0 = State(0.0, np.ones(g.N), np.zeros(g.N))
+    s0 = State(0.0, np.stack([np.ones(g.N), np.zeros(g.N)]))
     with caplog.at_level(logging.WARNING, logger="bfamily2c.stepper"):
         traj, rep = run(s0, custom_params(2.0, 4.0, 4.0),
                         StepControl(t_end=0.2), g,
@@ -265,7 +291,7 @@ def test_framework_changes_watched_quantities(grid20):
     p = make_params(CaseTag.CASE_I, 2.0)
     u = 0.05 * grid20.x * np.exp(-grid20.x**2)
     rho = 0.3 * np.sin(40 * np.pi / grid20.L * grid20.x) * np.exp(-grid20.x**2)
-    s0 = State(0.0, u, rho)
+    s0 = State(0.0, np.stack([u, rho]))
     kw = dict(t_end=0.2, blowup_grad_threshold=1.0, dt_min=0.05, dt_max=0.05)
     _, rep_hs = run(s0, p, StepControl(framework=Framework.HS, **kw),
                     grid20, diag=DiagSettings(char_stride=0))
