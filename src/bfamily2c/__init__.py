@@ -13,9 +13,8 @@ which is equivalent to m_t = u m_x + k1 u_x m + k2 rho rho_x for
 smooth solutions.
 """
 
-from .characteristics import (CharField, advance_characteristics,
-                              init_characteristics, rho_sup_bound_check,
-                              transport_residual)
+from .characteristics import (CharField, init_characteristics,
+                              rho_sup_bound_check, transport_residual)
 from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, DiagRecord,
                           SymmetryMode, conservation_check,
                           fill_identity_residuals, gronwall_check_h2,
@@ -38,7 +37,7 @@ __all__ = [
     "InitSpec", "Kernel", "ModelParams", "OverflowSignal", "RESOLUTION_TOL",
     "RunReport", "RunStatus", "State", "StepControl", "SymmetryMode",
     "Tendency", "Trajectory",
-    "advance_characteristics", "blowup_bound", "build_initial", "choose_dt",
+    "blowup_bound", "build_initial", "choose_dt",
     "classify_scenario", "conservation_check", "custom_params",
     "eval_rhs", "fill_identity_residuals",
     "gronwall_check_h2", "h3_energy_check",

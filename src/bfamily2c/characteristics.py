@@ -13,13 +13,14 @@ density satisfies the exact invariant
 
 whose numerical residual is the strongest end-to-end correctness
 check the solver has: it couples the PDE solution, the ODE solve and
-the interpolation in one scalar.
+the interpolation in one scalar.  stepper.step_rk4 advances q and the
+exponent in the PDE's own RK4 stages, at the rates characteristic_rates
+gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,57 +69,31 @@ def init_characteristics(rho0: np.ndarray, p: ModelParams, g: Grid,
     )
 
 
-def advance_characteristics(
-    c: CharField,
-    stages: Sequence[tuple[float, np.ndarray, np.ndarray]],
-    p: ModelParams,
-    g: Grid,
-    dt: float,
-) -> CharField:
-    """One RK4 step of the characteristic ODE using the PDE stage fields.
+def characteristic_rates(u: np.ndarray, ux: np.ndarray, q: np.ndarray,
+                         p: ModelParams, g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(dq/dt, d/dt of the Jacobian exponent) at one RK4 stage.
 
-    `stages` are the four (t, u, u_x) triples the RK4 PDE step
-    evaluated, at offsets (0, dt/2, dt/2, dt).  The Jacobian exponent
-    is accumulated with the matching RK4 weights (Simpson-consistent),
-    and qx is taken from the exponential rather than its own ODE so
-    positivity is exact.
+    u and u_x of the stage state are evaluated at -k3 q in one stacked
+    interpolation; u_x is the one the stage's tendency computed, so no
+    derivative is taken here.
     """
-    if len(stages) != 4:
-        raise ValueError("advance_characteristics needs the four RK4 stage fields")
-    k3 = p.k3
+    vel, slope = g.interpolate(np.stack([u, ux]), -p.k3 * q)
+    return vel, -p.k3 * slope
 
-    def rates(stage, q):
-        """(dq/dt, d/dt of the Jacobian exponent): u and u_x at -k3 q, one basis."""
-        _, u, ux = stage
-        vel, slope = g.interpolate(np.stack([u, ux]), -k3 * q)
-        return vel, -k3 * slope
 
-    s1, s2, s3, s4 = stages
-    q = c.q
-    a1, b1 = rates(s1, q)
-    a2, b2 = rates(s2, q + 0.5 * dt * a1)
-    a3, b3 = rates(s3, q + 0.5 * dt * a2)
-    a4, b4 = rates(s4, q + dt * a3)
+def update_characteristics(c: CharField, dt: float, q: np.ndarray,
+                           acc: np.ndarray, p: ModelParams, g: Grid) -> CharField:
+    """c advanced by dt to positions q and Jacobian exponent acc.
 
-    q_new = q + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    acc_new = c.accumulated_integral + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-    if not (np.all(np.isfinite(q_new)) and np.all(np.isfinite(acc_new))):
-        raise FloatingPointError("non-finite characteristic update (overflow)")
-    if k3 != 0.0:
-        margin = BOUNDARY_MARGIN * g.L
-        inside = np.abs(k3 * c.labels) <= margin
-        near = bool(np.any(np.abs(k3 * q_new[inside]) > margin))
-    else:
-        near = False
-    return CharField(
-        t=c.t + dt,
-        labels=c.labels,
-        q=q_new,
-        qx=np.exp(acc_new),
-        accumulated_integral=acc_new,
-        rho0_at_labels=c.rho0_at_labels,
-        near_boundary=near,
-    )
+    qx is taken from the exponential rather than its own ODE, so
+    positivity is exact.  With k3 = 0 no point -k3 q ever moves, so
+    nothing is flagged.
+    """
+    margin = BOUNDARY_MARGIN * g.L
+    inside = np.abs(p.k3 * c.labels) <= margin
+    near = bool(np.any(np.abs(p.k3 * q[inside]) > margin))
+    return replace(c, t=c.t + dt, q=q, qx=np.exp(acc), accumulated_integral=acc,
+                   near_boundary=near)
 
 
 def transport_residual(s: State, c: CharField, p: ModelParams, g: Grid) -> float:

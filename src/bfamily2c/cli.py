@@ -500,14 +500,17 @@ def execute_run(setup: RunSetup, out_dir: Path) -> tuple[Trajectory, RunReport, 
     return traj, report, checks
 
 
-def _load_json(path: str):
-    """Read a JSON document; malformed JSON is a ConfigError."""
+def _load_json(path: str) -> dict:
+    """Read a JSON object; malformed JSON or another root is a ConfigError."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno} column {exc.colno}: "
                               f"{exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: root must be a JSON object")
+    return doc
 
 
 def cmd_run(config_path: str, directory: str | None = None) -> int:
@@ -533,6 +536,8 @@ def _verify_manifest(manifest_dir: Path, manifest: dict) -> tuple[bool, list[str
     """Re-derive every enabled check from the stored CSVs; list mismatches."""
     problems: list[str] = []
     files = manifest.get("files", {})
+    if not isinstance(files, dict):
+        raise ConfigError("manifest 'files' must be an object")
     required = {"diagnostics.csv", "extras.csv",
                 *(path.name for path in manifest_dir.glob("snap_*.csv"))}
     problems += [f"no hash for {name}" for name in sorted(required - set(files))]

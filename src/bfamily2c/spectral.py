@@ -47,10 +47,10 @@ def _kernel_values(kernel: Kernel, x: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown kernel {kernel!r}")
 
 
-def _parseval_sum(power: np.ndarray) -> float:
+def _parseval_sum(power: np.ndarray) -> np.ndarray:
     """Sum over all N modes of a real field from its rfft half-spectrum
-    power: bins 1 .. N/2-1 stand for their conjugates too."""
-    return power[0] + 2.0 * np.sum(power[1:-1]) + power[-1]
+    power (last axis): bins 1 .. N/2-1 stand for their conjugates too."""
+    return power[..., 0] + 2.0 * np.sum(power[..., 1:-1], axis=-1) + power[..., -1]
 
 
 class Grid:
@@ -88,7 +88,6 @@ class Grid:
         # (above N/3) are dropped
         self.n_keep = self.N // 3 + 1
         n = np.arange(self.k.size)
-        self._tail = (n < self.n_keep) & (n > self.N // 6)
         self._kernel_fft: dict[Kernel, np.ndarray] = {}
         # interpolate: the Gaussian deconvolution with the 1/N of the
         # inverse sum and the fine-grid quadrature weight folded in.  On
@@ -184,20 +183,21 @@ class Grid:
         power = self.helm**s * np.abs(fh) ** 2
         return float(2.0 * self.L * _parseval_sum(power) / self.N**2)
 
-    def tail_fraction(self, f: np.ndarray) -> float:
+    def tail_fraction(self, f: np.ndarray) -> float | np.ndarray:
         """Share of the discrete energy of f held by modes N/6 < n <= N/3.
 
         These are the upper half of the modes the 2/3 rule keeps.  While
         f is resolved its spectrum decays exponentially and the share
         sits at the roundoff floor; its rise measures the loss of
         resolution (Sulem, Sulem & Frisch, J. Comput. Phys. 50 (1983)
-        138).  A zero field has share 0.
+        138).  A zero field has share 0.  A stack (F, N) gives the (F,)
+        shares of its rows, each bit for bit the share of the row alone.
         """
         power = np.abs(np.fft.rfft(f)) ** 2
         total = _parseval_sum(power)
-        if total == 0.0:
-            return 0.0
-        return float(2.0 * np.sum(power[self._tail]) / total)
+        tail = 2.0 * np.sum(power[..., self.N // 6 + 1 : self.n_keep], axis=-1)
+        share = tail / np.where(total == 0.0, 1.0, total)
+        return float(share) if np.ndim(f) == 1 else share
 
     def interpolate(self, f: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Trigonometric evaluation of one field (N,) or a stack (F, N).

@@ -29,8 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .characteristics import (BOUNDARY_MARGIN, CharField,
-                              advance_characteristics, init_characteristics,
-                              transport_residual)
+                              characteristic_rates, init_characteristics,
+                              transport_residual, update_characteristics)
 from .diagnostics import (DiagRecord, SymmetryMode, fill_identity_residuals,
                           make_record)
 from .dynamics import State, Tendency, eval_rhs
@@ -140,6 +140,14 @@ def _stage_tendency(s: State, p: ModelParams, g: Grid, dealias: bool,
         raise OverflowSignal(stage, s.t) from exc
 
 
+def _rates(x: tuple, k: Tendency, char: CharField | None, p: ModelParams,
+           g: Grid) -> tuple:
+    """The time derivative of the stage tuple x = (y[, q, exponent])."""
+    if char is None:
+        return (k.dy,)
+    return (k.dy, *characteristic_rates(x[0][0], k.ux, x[1], p, g))
+
+
 def step_rk4(
     s: State,
     dt: float,
@@ -147,32 +155,36 @@ def step_rk4(
     g: Grid,
     dealias: bool = True,
     k1: Tendency | None = None,
-) -> tuple[State, list[tuple[float, np.ndarray, np.ndarray]]]:
-    """One classical RK4 step: the new state and the four stage fields.
+    char: CharField | None = None,
+) -> tuple[State, CharField | None]:
+    """One classical RK4 step: the new state and the advanced char (or None).
 
     k1 is the stage-1 tendency of s when the caller has it (run() takes
-    its u_x for the step size); otherwise it is evaluated here.
-    Stage fields (t, u, u_x) at offsets (0, dt/2, dt/2, dt) are what the
-    characteristic ODE needs to advance through the same interval; u_x
-    is the one each stage's tendency computed.
-    Overflow in any stage raises OverflowSignal with the stage index.
+    its u_x for the step size); otherwise it is evaluated here.  Stage
+    i is evaluated at t + w_i dt.  Given char, the stages advance the
+    tuple (y, q, accumulated_integral) in one tableau; the
+    characteristic rates take the u_x each stage's tendency computed.
+    Overflow in a stage raises OverflowSignal with the stage index, and
+    a non-finite y, q or exponent after the combine with index 4.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    t, y = s.t, s.y
+    t = s.t
+    x = (s.y,) if char is None else (s.y, char.q, char.accumulated_integral)
     k = k1 if k1 is not None else _stage_tendency(s, p, g, dealias, 0)
-    ks, stages = [k], [(t, s.u, k.ux)]
+    rs = [_rates(x, k, char, p, g)]
     for stage, w in ((1, 0.5), (2, 0.5), (3, 1.0)):
-        si = State(t=t + w * dt, y=y + w * dt * k.dy)
-        k = _stage_tendency(si, p, g, dealias, stage)
-        ks.append(k)
-        stages.append((si.t, si.u, k.ux))
+        xi = tuple(xj + (w * dt) * rj for xj, rj in zip(x, rs[-1]))
+        k = _stage_tendency(State(t=t + w * dt, y=xi[0]), p, g, dealias, stage)
+        rs.append(_rates(xi, k, char, p, g))
 
-    a, b, c, d = ks
-    y_new = y + (dt / 6.0) * (a.dy + 2.0 * b.dy + 2.0 * c.dy + d.dy)
-    if not np.all(np.isfinite(y_new)):
+    x_new = tuple(xj + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                  for xj, (r1, r2, r3, r4) in zip(x, zip(*rs)))
+    if not all(np.all(np.isfinite(xj)) for xj in x_new):
         raise OverflowSignal(4, t)
-    return State(t=t + dt, y=y_new), stages
+    char_new = (None if char is None
+                else update_characteristics(char, dt, *x_new[1:], p, g))
+    return State(t=t + dt, y=x_new[0]), char_new
 
 
 @dataclass(frozen=True)
@@ -310,22 +322,20 @@ def run(
             k1 = _stage_tendency(s, p, g, ctl.dealias, 0)
             choice = choose_dt(s, p, ctl, g, k1.ux)
             dt = min(choice.dt, ctl.t_end - s.t)
-            s_new, stages = step_rk4(s, dt, p, g, dealias=ctl.dealias, k1=k1)
-            if char is not None:
-                char = advance_characteristics(char, stages, p, g, dt)
-                if char.near_boundary and not warned_boundary:
-                    logger.warning(
-                        "characteristic evaluation points within %.0f%% of the "
-                        "domain half-width at t=%.6g; transport residuals may "
-                        "degrade", 100 * (1 - BOUNDARY_MARGIN), char.t)
-                    warned_boundary = True
+            s, char = step_rk4(s, dt, p, g, dealias=ctl.dealias, k1=k1,
+                               char=char)
         except OverflowSignal as exc:
             status = RunStatus.OVERFLOW
             overflow_stage = exc.stage_index
             logger.warning("overflow at t=%.6g (stage %d); terminating run",
                            s.t, exc.stage_index)
             break
-        s = s_new
+        if char is not None and char.near_boundary and not warned_boundary:
+            logger.warning(
+                "characteristic evaluation points within %.0f%% of the "
+                "domain half-width at t=%.6g; transport residuals may "
+                "degrade", 100 * (1 - BOUNDARY_MARGIN), char.t)
+            warned_boundary = True
         n_steps += 1
         for hook in hooks:
             hook(n_steps, s)
@@ -349,7 +359,7 @@ def run(
                             s.t, quantity.value, value, g.x[j])
                 break
         if ctl.resolution_tol is not None:
-            tail = max(g.tail_fraction(s.u), g.tail_fraction(s.rho))
+            tail = max(g.tail_fraction(s.y))
             if tail > ctl.resolution_tol:
                 status = RunStatus.RESOLUTION_LOST
                 logger.info("resolution lost at t=%.6g: tail fraction %.3g "

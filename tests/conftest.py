@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bfamily2c import (CaseTag, DiagRecord, Grid, State, SymmetryMode,
-                       Tendency, make_params, symmetry_residual)
+from bfamily2c import (CaseTag, CharField, DiagRecord, Grid, State,
+                       SymmetryMode, Tendency, make_params, symmetry_residual)
+from bfamily2c.characteristics import BOUNDARY_MARGIN
 
 
 @pytest.fixture
@@ -149,3 +150,41 @@ def reference_rhs():
 @pytest.fixture
 def reference_record():
     return _reference_record
+
+
+def _reference_advance(c: CharField, stages, p, g: Grid, dt: float) -> CharField:
+    """One RK4 step of the characteristic ODE as a second pass over the
+    four (t, u, u_x) stage triples of a PDE step.
+
+    The characteristics were advanced this way, after step_rk4 and from
+    the stage fields it handed back, before the ODE joined the PDE's
+    stage loop; it stays here as that loop's reference.
+    """
+    k3 = p.k3
+
+    def rates(stage, q):
+        _, u, ux = stage
+        vel, slope = g.interpolate(np.stack([u, ux]), -k3 * q)
+        return vel, -k3 * slope
+
+    s1, s2, s3, s4 = stages
+    q = c.q
+    a1, b1 = rates(s1, q)
+    a2, b2 = rates(s2, q + 0.5 * dt * a1)
+    a3, b3 = rates(s3, q + 0.5 * dt * a2)
+    a4, b4 = rates(s4, q + dt * a3)
+    q_new = q + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    acc_new = c.accumulated_integral + (dt / 6.0) * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+    near = False
+    if k3 != 0.0:
+        margin = BOUNDARY_MARGIN * g.L
+        inside = np.abs(k3 * c.labels) <= margin
+        near = bool(np.any(np.abs(k3 * q_new[inside]) > margin))
+    return CharField(t=c.t + dt, labels=c.labels, q=q_new, qx=np.exp(acc_new),
+                     accumulated_integral=acc_new,
+                     rho0_at_labels=c.rho0_at_labels, near_boundary=near)
+
+
+@pytest.fixture
+def reference_advance():
+    return _reference_advance

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from bfamily2c import (CaseTag, DiagSettings, Grid, InitKind, InitSpec,
-                       StepControl, advance_characteristics, build_initial,
+                       OverflowSignal, State, StepControl, build_initial,
                        custom_params, init_characteristics, make_params,
-                       rho_sup_bound_check, run, transport_residual)
+                       rho_sup_bound_check, run, step_rk4, transport_residual)
+from bfamily2c import stepper
 
 
-def constant_stages(g, dt, value):
-    u, ux = np.full(g.N, value), np.zeros(g.N)
-    return [(0.0, u, ux), (dt / 2, u, ux), (dt / 2, u, ux), (dt, u, ux)]
+def steady(g, value, rho=0.5):
+    """u and rho constant: an exact steady state, so every RK4 stage
+    has u = value and u_x = 0."""
+    return State(0.0, np.stack([np.full(g.N, value), np.full(g.N, rho)]))
 
 
 def flat(g):
@@ -37,19 +39,13 @@ def test_init_evaluates_rho0_at_scaled_labels(grid20):
     assert np.max(np.abs(c.rho0_at_labels - expect)) < 1e-12
 
 
-def test_advance_needs_four_stages(grid20, params_b2):
-    c = init_characteristics(flat(grid20), params_b2, grid20)
-    with pytest.raises(ValueError):
-        advance_characteristics(c, constant_stages(grid20, 0.1, 1.0)[:3],
-                                params_b2, grid20, 0.1)
-
-
 def test_constant_velocity_translates_exactly(grid20, params_b2):
     # u = const: dq/dt = c exactly, u_x = 0 so qx stays 1
     dt, c_val = 0.25, 0.75
-    c = init_characteristics(flat(grid20), params_b2, grid20, stride=8)
-    c = advance_characteristics(c, constant_stages(grid20, dt, c_val),
-                                params_b2, grid20, dt)
+    s = steady(grid20, c_val)
+    c = init_characteristics(s.rho, params_b2, grid20, stride=8)
+    s_new, c = step_rk4(s, dt, params_b2, grid20, char=c)
+    assert np.array_equal(s_new.y, s.y)
     assert np.allclose(c.q, c.labels + c_val * dt, atol=1e-12)
     assert np.allclose(c.qx, 1.0, atol=1e-14)
     assert c.t == dt
@@ -57,9 +53,9 @@ def test_constant_velocity_translates_exactly(grid20, params_b2):
 
 def test_zero_velocity_is_identity(grid20, params_b2):
     dt = 0.3
-    c = init_characteristics(flat(grid20), params_b2, grid20)
-    c = advance_characteristics(c, constant_stages(grid20, dt, 0.0),
-                                params_b2, grid20, dt)
+    s = steady(grid20, 0.0)
+    c = init_characteristics(s.rho, params_b2, grid20)
+    _, c = step_rk4(s, dt, params_b2, grid20, char=c)
     assert np.array_equal(c.q, c.labels)
     assert np.all(c.qx == 1.0)
     assert not c.near_boundary
@@ -67,20 +63,60 @@ def test_zero_velocity_is_identity(grid20, params_b2):
 
 def test_near_boundary_flags_interior_drift(grid20, params_b2):
     # push interior characteristics past 95% of the half-width
-    c = init_characteristics(flat(grid20), params_b2, grid20, stride=8)
+    s = steady(grid20, 1.0)
+    c = init_characteristics(s.rho, params_b2, grid20, stride=8)
     for _ in range(30):
-        c = advance_characteristics(c, constant_stages(grid20, 1.0, 1.0),
-                                    params_b2, grid20, 1.0)
+        s, c = step_rk4(s, 1.0, params_b2, grid20, char=c)
     assert c.near_boundary
 
 
 def test_k3_zero_never_flags(grid20):
     p = custom_params(2.0, 4.0, 0.0)
-    c = init_characteristics(flat(grid20), p, grid20, stride=8)
+    s = steady(grid20, 1.0)
+    c = init_characteristics(s.rho, p, grid20, stride=8)
     for _ in range(30):
-        c = advance_characteristics(c, constant_stages(grid20, 1.0, 1.0),
-                                    p, grid20, 1.0)
+        s, c = step_rk4(s, 1.0, p, grid20, char=c)
     assert not c.near_boundary
+
+
+def test_non_finite_characteristic_update_is_an_overflow(grid20, params_b2):
+    # the one gate after the combine covers q and the exponent too
+    s = steady(grid20, 1.0)
+    c = init_characteristics(s.rho, params_b2, grid20, stride=8)
+    c.accumulated_integral[3] = np.inf
+    with pytest.raises(OverflowSignal) as exc:
+        step_rk4(s, 0.1, params_b2, grid20, char=c)
+    assert (exc.value.stage_index, exc.value.t) == (4, 0.0)
+
+
+def test_step_advances_characteristics_as_the_two_pass_reference(
+        monkeypatch, reference_advance):
+    # the characteristic ODE rides the PDE's stages; the old second RK4
+    # pass over the recorded (t, u, u_x) stage triples must agree bit for
+    # bit.  case_ii b = 2 has k3 = 2, so -k3 q of the outer labels wraps.
+    g = Grid(10.0, 256)
+    p = make_params(CaseTag.CASE_II, 2.0)
+    s = build_initial(InitSpec(InitKind.GAUSSIAN),
+                      InitSpec(InitKind.GAUSSIAN, amplitude=0.5), g)
+    c = ref = init_characteristics(s.rho, p, g, stride=2)
+    stages, real = [], stepper.eval_rhs
+
+    def spy(st, *args, **kwargs):
+        k = real(st, *args, **kwargs)
+        stages.append((st.t, st.u, k.ux))
+        return k
+
+    monkeypatch.setattr(stepper, "eval_rhs", spy)
+    for _ in range(20):
+        stages.clear()
+        s, c = step_rk4(s, 2e-2, p, g, char=c)
+        ref = reference_advance(ref, stages, p, g, 2e-2)
+        assert c.t == ref.t
+        assert np.array_equal(c.q, ref.q)
+        assert np.array_equal(c.accumulated_integral, ref.accumulated_integral)
+        assert np.array_equal(c.qx, ref.qx)
+        assert c.near_boundary == ref.near_boundary
+    assert np.max(np.abs(c.q - c.labels)) > 1e-3  # the labels did move
 
 
 def test_transport_invariant_on_evolved_run():

@@ -323,6 +323,22 @@ def test_exit_codes(tmp_path):
     assert main(["check", str(tmp_path / "nowhere.json")]) == 3
 
 
+@pytest.mark.parametrize("command, document, needle", [
+    ("run", [base_config()], "root must be a JSON object"),
+    ("sweep", [{"sweep": {"b": [2.0]}}], "root must be a JSON object"),
+    ("check", [{"files": {}}], "root must be a JSON object"),
+    ("check", {"files": ["diagnostics.csv"]}, "'files' must be an object"),
+    ("check", {"files": "diagnostics.csv"}, "'files' must be an object"),
+], ids=["run_list_root", "sweep_list_root", "check_list_root",
+        "check_files_list", "check_files_string"])
+def test_malformed_json_roots_are_config_errors(tmp_path, caplog, command,
+                                                document, needle):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert main([command, str(path)]) == 2
+    assert needle in caplog.text
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("outputs", "hs_order", math.nan),
     ("checks", "gronwall_slack", math.nan),

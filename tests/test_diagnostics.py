@@ -36,7 +36,7 @@ def test_package_api_is_frozen():
         "DiagSettings", "EXTRA_COLUMNS", "Framework", "Grid", "InitKind",
         "InitSpec", "Kernel", "ModelParams", "OverflowSignal",
         "RESOLUTION_TOL", "RunReport", "RunStatus", "State", "StepControl",
-        "SymmetryMode", "Tendency", "Trajectory", "advance_characteristics",
+        "SymmetryMode", "Tendency", "Trajectory",
         "blowup_bound", "build_initial", "choose_dt", "classify_scenario",
         "conservation_check", "custom_params", "eval_rhs",
         "fill_identity_residuals", "gronwall_check_h2", "h3_energy_check",

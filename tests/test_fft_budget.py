@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from bfamily2c import (DiagSettings, Grid, RunStatus, State, StepControl,
-                       advance_characteristics, eval_rhs, init_characteristics,
-                       make_record, run, step_rk4, transport_residual)
+                       eval_rhs, init_characteristics, make_record, run,
+                       transport_residual)
 
 
 @pytest.fixture
@@ -65,21 +65,6 @@ def _reset(calls, rows, lengths):
     lengths.clear()
 
 
-def test_characteristic_advance_reuses_stage_slopes(grid20, params_b2,
-                                                    fft_calls):
-    calls, rows, lengths = fft_calls
-    s = _state(grid20)
-    c = init_characteristics(s.rho, params_b2, grid20)
-    _, stages = step_rk4(s, 1e-2, params_b2, grid20)
-    _reset(calls, rows, lengths)
-    advance_characteristics(c, stages, params_b2, grid20, 1e-2)
-    # one stacked (u, u_x) interpolation per stage, no derivative: an
-    # rfft of the stack and an irfft onto the 2N-point fine grid
-    assert calls == {"rfft": 4, "irfft": 4}
-    assert rows == {"rfft": 8, "irfft": 8}
-    assert lengths == [2 * grid20.N] * 4
-
-
 def test_transport_residual_takes_one_interpolation(grid20, params_b2,
                                                     fft_calls):
     calls, rows, lengths = fft_calls
@@ -110,6 +95,36 @@ def test_run_evaluates_each_accepted_state_once(grid20, params_b2, fft_calls,
     assert sum(calls.values()) == 16 * n + 4 * r
     assert sum(rows.values()) == 28 * n + 11 * r
     assert derivatives == []
+
+
+def test_run_with_characteristics_adds_one_interpolation_per_stage(
+        grid20, params_b2, fft_calls):
+    calls, rows, lengths = fft_calls
+    s0 = _state(grid20)
+    traj, rep = run(s0, params_b2, StepControl(t_end=0.3), grid20,
+                    diag=DiagSettings(every=3, char_stride=4))
+    assert rep.status is RunStatus.REACHED_T_END and rep.n_steps > 3
+    # each stage adds one stacked (u, u_x) interpolation (an rfft of the
+    # stack and an irfft onto the 2N-point fine grid), no derivative;
+    # each record adds rho(t) at the labels, the run rho0 there once
+    n, r = rep.n_steps, len(traj.records)
+    assert sum(calls.values()) == (16 + 8) * n + (4 + 2) * r + 2
+    assert sum(rows.values()) == (28 + 16) * n + (11 + 2) * r + 2
+    assert lengths.count(2 * grid20.N) == 4 * n + r + 1
+
+
+def test_resolution_stop_takes_one_stacked_rfft(grid20, params_b2, fft_calls):
+    calls, rows, _ = fft_calls
+    s0 = _state(grid20)
+    # a tail share never exceeds 1, so this stop never fires
+    traj, rep = run(s0, params_b2, StepControl(t_end=0.3, resolution_tol=1.0),
+                    grid20, diag=DiagSettings(every=3, char_stride=0))
+    assert rep.status is RunStatus.REACHED_T_END and rep.n_steps > 3
+    # one rfft of the (2, N) state per step on top of the bare run: the
+    # tails of u and rho, two rows
+    n, r = rep.n_steps, len(traj.records)
+    assert calls == {"rfft": 9 * n + 2 * r, "irfft": 8 * n + 2 * r}
+    assert sum(rows.values()) == 30 * n + 11 * r
 
 
 @pytest.mark.parametrize("N", [64, 256, 1024, 4096])

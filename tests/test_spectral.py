@@ -120,6 +120,30 @@ def test_tail_fraction(grid20):
     assert grid20.tail_fraction(low + top) == pytest.approx(0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("N", [64, 256, 1024, 4096])
+def test_tail_fraction_of_a_stack_matches_single_rows(N, rng):
+    # run() takes the tails of u and rho as one (2, N) call; each row
+    # must be the single-row share bit for bit, which the slice sum
+    # guarantees and a boolean-mask gather over the stack does not
+    g = Grid(20.0, N)
+    n = np.arange(g.k.size)
+    decay = np.exp(-n / rng.uniform(2.0, N / 4, size=(40, 1)))
+    phase = np.exp(2j * np.pi * rng.uniform(size=decay.shape))
+    y = np.fft.irfft(decay * phase, n=N)
+    y[7] = 0.0
+    for f in (y[:2], y[5:9], y):
+        shares = g.tail_fraction(f)
+        assert shares.shape == (f.shape[0],)
+        assert all(shares[i] == g.tail_fraction(f[i]) for i in range(f.shape[0]))
+    assert g.tail_fraction(y[7]) == 0.0 and type(g.tail_fraction(y[0])) is float
+    # the single-row share is the masked sum it replaced, bit for bit
+    tail = (n > N // 6) & (n < g.n_keep)
+    for row in y[:7]:
+        power = np.abs(np.fft.rfft(row)) ** 2
+        total = power[0] + 2.0 * np.sum(power[1:-1]) + power[-1]
+        assert g.tail_fraction(row) == 2.0 * np.sum(power[tail]) / total
+
+
 # ----------------------------------------------------------------------
 # line-kernel quadrature
 

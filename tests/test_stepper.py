@@ -7,7 +7,7 @@ import pytest
 from bfamily2c import (CaseTag, DiagSettings, Framework, Grid, InitKind,
                        InitSpec, OverflowSignal, RunStatus, State,
                        StepControl, build_initial, choose_dt, custom_params,
-                       make_params, run, step_rk4)
+                       init_characteristics, make_params, run, step_rk4)
 from bfamily2c import stepper
 
 
@@ -96,18 +96,16 @@ def test_step_rk4_overflow_signal(grid20, params_b2):
     assert exc.value.stage_index == 0
 
 
-def test_step_rk4_returns_stage_fields(grid20, params_b2):
+def test_step_rk4_characteristics_leave_the_state_alone(grid20, params_b2):
+    # the characteristics ride the PDE's stages without feeding back
     s = smooth_state(grid20)
-    out, stages = step_rk4(s, 1e-2, params_b2, grid20)
-    assert len(stages) == 4
-    assert stages[0][0] == 0.0
-    assert stages[1][0] == stages[2][0] == 0.5e-2
-    assert stages[3][0] == 1e-2
-    assert np.array_equal(stages[0][1], s.u)
-    # each stage's u_x is the one its tendency computed, bit for bit
-    for _, u, ux in stages:
-        assert np.array_equal(ux, grid20.derivative(u, 1))
-    assert out.t == 1e-2
+    out, none = step_rk4(s, 1e-2, params_b2, grid20)
+    assert none is None
+    c = init_characteristics(s.rho, params_b2, grid20)
+    out_c, c = step_rk4(s, 1e-2, params_b2, grid20, char=c)
+    assert np.array_equal(out_c.y, out.y)
+    assert out_c.t == out.t == c.t == 1e-2
+    assert np.all(np.isfinite(c.q)) and np.all(c.qx > 0.0)
 
 
 def test_step_rk4_evaluates_each_stage_at_its_time(grid20, params_b2,
@@ -125,9 +123,8 @@ def test_step_rk4_evaluates_each_stage_at_its_time(grid20, params_b2,
 
     s = State(0.25, smooth_state(grid20).y)
     monkeypatch.setattr(stepper, "eval_rhs", spy)
-    _, stages = step_rk4(s, 1e-2, params_b2, grid20)
-    assert times == [t for t, _, _ in stages] == [0.25, 0.25 + 0.5e-2,
-                                                  0.25 + 0.5e-2, 0.25 + 1e-2]
+    step_rk4(s, 1e-2, params_b2, grid20)
+    assert times == [0.25, 0.25 + 0.5e-2, 0.25 + 0.5e-2, 0.25 + 1e-2]
     # an overflow in a later stage names that stage's time
     monkeypatch.setattr(stepper, "eval_rhs", overflow)
     with pytest.raises(OverflowSignal) as exc:
