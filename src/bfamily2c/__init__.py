@@ -22,19 +22,20 @@ from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, DiagRecord,
                           symmetry_residual)
 from .dynamics import State, Tendency, eval_rhs
 from .initdata import InitKind, InitSpec, blowup_bound, build_initial, profile
-from .model import (Branch, CaseTag, Framework, ModelParams, classify_scenario,
-                    custom_params, make_params)
+from .model import (Branch, CaseTag, Framework, ModelParams, ParamStack,
+                    classify_scenario, custom_params, make_params)
 from .spectral import Grid, Kernel
 from .stepper import (RESOLUTION_TOL, DiagSettings, OverflowSignal, RunReport,
                       RunStatus, StepControl, Trajectory, choose_dt, run,
-                      step_rk4)
+                      run_batch, step_rk4)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Branch", "CaseTag", "CharField", "DIAG_COLUMNS", "DiagRecord",
     "DiagSettings", "EXTRA_COLUMNS", "Framework", "Grid", "InitKind",
-    "InitSpec", "Kernel", "ModelParams", "OverflowSignal", "RESOLUTION_TOL",
+    "InitSpec", "Kernel", "ModelParams", "OverflowSignal", "ParamStack",
+    "RESOLUTION_TOL",
     "RunReport", "RunStatus", "State", "StepControl", "SymmetryMode",
     "Tendency", "Trajectory",
     "blowup_bound", "build_initial", "choose_dt",
@@ -43,6 +44,6 @@ __all__ = [
     "gronwall_check_h2", "h3_energy_check",
     "init_characteristics", "make_params",
     "make_record", "profile", "rho_sup_bound_check",
-    "riccati_check", "run", "step_rk4", "symmetry_residual",
+    "riccati_check", "run", "run_batch", "step_rk4", "symmetry_residual",
     "transport_residual",
 ]

@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
 from .dynamics import State
-from .model import Branch, Framework, ModelParams, classify_scenario
+from .model import (Branch, Framework, ModelParams, ParamStack,
+                    classify_scenario)
 from .spectral import Grid
 
 # column order of the diagnostics CSV (stable, tested byte-wise)
@@ -97,19 +99,21 @@ class DiagRecord:
 
 def _mirror(f: np.ndarray) -> np.ndarray:
     # node j -> node (N - j) mod N, i.e. x -> -x on the symmetric grid
-    return np.roll(f[::-1], 1)
+    return np.roll(f[..., ::-1], 1, axis=-1)
 
 
-def symmetry_residual(s: State, mode: SymmetryMode, g: Grid) -> float:
-    """max |u(x) + u(-x)|  +  max |rho(x) -/+ rho(-x)| per mode."""
-    ru = np.max(np.abs(s.u + _mirror(s.u)))
+def symmetry_residual(s: State, mode: SymmetryMode, g: Grid) -> float | np.ndarray:
+    """max |u(x) + u(-x)|  +  max |rho(x) -/+ rho(-x)| per mode; a batch
+    state gives one residual per member."""
+    ru = np.max(np.abs(s.u + _mirror(s.u)), axis=-1)
     if mode is SymmetryMode.U_ODD_RHO_EVEN:
-        rr = np.max(np.abs(s.rho - _mirror(s.rho)))
+        rr = np.max(np.abs(s.rho - _mirror(s.rho)), axis=-1)
     elif mode is SymmetryMode.U_ODD_RHO_ODD:
-        rr = np.max(np.abs(s.rho + _mirror(s.rho)))
+        rr = np.max(np.abs(s.rho + _mirror(s.rho)), axis=-1)
     else:
         raise ValueError(f"unknown symmetry mode {mode!r}")
-    return float(ru + rr)
+    res = ru + rr
+    return float(res) if res.ndim == 0 else res
 
 
 # the final state of an overflowing run is recorded as is: inf/nan
@@ -117,57 +121,71 @@ def symmetry_residual(s: State, mode: SymmetryMode, g: Grid) -> float:
 @np.errstate(over="ignore", invalid="ignore")
 def make_record(
     s: State,
-    dt: float,
-    p: ModelParams,
+    dt: float | Sequence[float],
+    p: ModelParams | ParamStack,
     g: Grid,
     step: int = 0,
     hs_order: float = 2.0,
     symmetry_mode: SymmetryMode | None = None,
-    transport_res: float = math.nan,
-    qx_min: float = math.nan,
-) -> DiagRecord:
+    transport_res: float | Sequence[float] = math.nan,
+    qx_min: float | Sequence[float] = math.nan,
+) -> DiagRecord | list[DiagRecord]:
     """Evaluate all per-time diagnostics of one state.
 
     Every spectral quantity comes from one rfft of the stack (u, rho)
     and one irfft of the seven derived spectra, plus one forward and
     one inverse transform for the nonlocal source at the origin.
+
+    A batch state (B, 2, N), with p a ParamStack, gives the list of its
+    members' records from the same four transforms; dt, transport_res
+    and qx_min may then be per member.  Each record is bit for bit the
+    one of its member alone.
     """
     d = g.deriv_mult
-    u, rho = s.y
-    uh, rh = np.fft.rfft(s.y)
+    batch = s.y.ndim == 3
+    u, rho = s.u, s.rho
+    fh = np.fft.rfft(s.y)
+    uh, rh = fh[..., 0, :], fh[..., 1, :]
     mh = uh * g.helm
     ux, uxx, uxxx, m, mx, rhox, rhoxx = np.fft.irfft(np.stack(
         [uh * d[1], uh * d[2], uh * d[3], mh, mh * g.ik, rh * d[1], rh * d[2]]),
         n=g.N)
-    I = g.integrate
-    k1, k2, k3 = p.k1, p.k2, p.k3
+
+    def I(f):  # Grid.integrate of each row
+        return g.dx * np.sum(f, axis=-1)
+
+    # the fields broadcast against p's coefficients, the per-member
+    # scalars against these flat ones
+    k1, k2, k3 = np.ravel(p.k1), np.ravel(p.k2), np.ravel(p.k3)
     i_m2, i_mx2, i_rho2 = I(m**2), I(mx**2), I(rho**2)
     i_rhox2, i_rhoxx2 = I(rhox**2), I(rhoxx**2)
     j0 = g.origin_index
     # p * [(k1/2)u^2 + ((3-k1)/2)u_x^2 + (k2/2)rho^2] at the origin;
     # products left un-dealiased so the integrand is pointwise >= 0
     # whenever k1 <= 3 and k2 >= 0.
-    source = (0.5 * k1) * u**2 + (0.5 * (3.0 - k1)) * ux**2 + (0.5 * k2) * rho**2
-    conv0 = float(g.helmholtz_inv(source)[j0])
+    source = (0.5 * p.k1) * u**2 + (0.5 * (3.0 - p.k1)) * ux**2 \
+        + (0.5 * p.k2) * rho**2
+    conv0 = g.helmholtz_inv(source)[..., j0]
     sym = math.nan if symmetry_mode is None else symmetry_residual(s, symmetry_mode, g)
-    return DiagRecord(
+    columns = dict(
         step=step,
         t=s.t,
         dt=dt,
-        l2_u=math.sqrt(max(0.0, g.spectrum_norm_sq(uh, 0.0))),
-        hs_u=math.sqrt(max(0.0, g.spectrum_norm_sq(uh, hs_order))),
-        hsm1_rho=math.sqrt(max(0.0, g.spectrum_norm_sq(rh, hs_order - 1.0))),
-        min_ux=float(np.min(ux)),
-        max_ux=float(np.max(ux)),
-        sup_rho=float(np.max(np.abs(rho))),
-        sup_rhox=float(np.max(np.abs(rhox))),
+        # fmax is Python's max(0, .): a nan norm reads 0
+        l2_u=np.sqrt(np.fmax(0.0, g.spectrum_norm_sq(uh, 0.0))),
+        hs_u=np.sqrt(np.fmax(0.0, g.spectrum_norm_sq(uh, hs_order))),
+        hsm1_rho=np.sqrt(np.fmax(0.0, g.spectrum_norm_sq(rh, hs_order - 1.0))),
+        min_ux=np.min(ux, axis=-1),
+        max_ux=np.max(ux, axis=-1),
+        sup_rho=np.max(np.abs(rho), axis=-1),
+        sup_rhox=np.max(np.abs(rhox), axis=-1),
         e1=i_m2 + i_mx2 + i_rho2 + i_rhox2 + i_rhoxx2,
         e2=i_m2 + i_rho2 + i_rhox2,
         int_rho=I(rho),
-        u0=float(u[j0]),
-        ux0=float(ux[j0]),
-        uxx0=float(uxx[j0]),
-        rho0=float(rho[j0]),
+        u0=u[..., j0],
+        ux0=ux[..., j0],
+        uxx0=uxx[..., j0],
+        rho0=rho[..., j0],
         conv0=conv0,
         i_m2=i_m2,
         i_rho2=i_rho2,
@@ -183,6 +201,16 @@ def make_record(
         symmetry_res=sym,
         qx_min=qx_min,
     )
+    n = len(s.y) if batch else 1
+    rows = zip(*(_per_member(v, n) for v in columns.values()))
+    records = [DiagRecord(**dict(zip(columns, row))) for row in rows]
+    return records if batch else records[0]
+
+
+def _per_member(v, n: int) -> list:
+    """The n Python scalars of a per-member column, or n copies of one value."""
+    a = np.asarray(v)
+    return a.tolist() if a.ndim else [a.item()] * n
 
 
 def _exp_term(coeff: float, arg: float) -> float:
@@ -231,7 +259,8 @@ def _energy_envelope(records, field: str, c: float, slack: float):
     ts = np.array([r.t for r in records])
     vals = np.array([getattr(r, field) for r in records])
     bounds, first_bad = _exp_envelope(ts, vals, float(vals[0]), c, slack)
-    worst = max([0.0] + [v / b for v, b in zip(vals, bounds) if b > 0.0])
+    # Python floats: an overflowed run's inf / inf is nan without a warning
+    worst = max([0.0] + [v / b for v, b in zip(vals.tolist(), bounds) if b > 0.0])
     return first_bad, worst
 
 

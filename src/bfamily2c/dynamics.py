@@ -22,7 +22,9 @@ tendencies one truncation and one inverse transform:
     rfft u -> irfft u_x;  rfft (u u_x, source, u rho);  irfft (du, drho).
 
 numpy transforms each row of a stack bit for bit as it would the row
-alone, so stacking changes no output bit.
+alone, so stacking changes no output bit: neither the stacking of
+fields nor that of a batch of members (B, 2, N), whose coefficients
+broadcast as (B, 1) columns.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
+from .model import ModelParams, ParamStack
 from .spectral import Grid
 
 
@@ -41,19 +43,20 @@ class State:
 
     Every layer works on the stack: one transform takes both rows, and
     one array expression advances or gates both fields.  u and rho are
-    read-only views of the rows y[0] and y[1].
+    read-only views of the rows y[0] and y[1].  A batch of members is
+    y of shape (B, 2, N) with t of shape (B,); u and rho are then (B, N).
     """
 
-    t: float
+    t: float | np.ndarray
     y: np.ndarray
 
     @property
     def u(self) -> np.ndarray:
-        return self.y[0]
+        return self.y[..., 0, :]
 
     @property
     def rho(self) -> np.ndarray:
-        return self.y[1]
+        return self.y[..., 1, :]
 
 
 @dataclass(eq=False)
@@ -66,8 +69,10 @@ class Tendency:
 
 # overflow is reported by the isfinite gate below, not by numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
-def eval_rhs(s: State, p: ModelParams, g: Grid, dealias: bool = True) -> Tendency:
-    """Evaluate the nonlocal-form tendency of (u, rho).
+def eval_rhs(s: State, p: ModelParams | ParamStack, g: Grid,
+             dealias: bool = True) -> Tendency:
+    """Evaluate the nonlocal-form tendency of (u, rho), or of a batch
+    (B, 2, N) whose coefficients p holds as (B, 1) columns.
 
     Quadratic products are formed pointwise; with dealias=True every
     mode above N/3 of each tendency is dropped before the inverse
@@ -75,17 +80,19 @@ def eval_rhs(s: State, p: ModelParams, g: Grid, dealias: bool = True) -> Tendenc
     quadratic terms.  u_x is the spectral derivative exactly as
     Grid.derivative computes it.  A non-finite result raises
     FloatingPointError so the stepper can treat it as blow-up evidence
-    rather than propagate garbage.
+    rather than propagate garbage; in a batch, a non-finite row of any
+    member raises.
     """
-    u, rho = s.y
+    u, rho = s.u, s.rho
     rfft, irfft = np.fft.rfft, np.fft.irfft
     ux = irfft(rfft(u) * g.ik, n=g.N)
     source = (0.5 * p.k1) * (u * u) + (0.5 * (3.0 - p.k1)) * (ux * ux) \
         + (0.5 * p.k2) * (rho * rho)
-    ph = rfft(np.stack([u * ux, source, u * rho]))
-    dy_h = np.stack([ph[0] + g.dx_helm_inv * ph[1], (p.k3 * g.ik) * ph[2]])
+    ph = rfft(np.stack([u * ux, source, u * rho], axis=-2))
+    dy_h = np.stack([ph[..., 0, :] + g.dx_helm_inv * ph[..., 1, :],
+                     (p.k3 * g.ik) * ph[..., 2, :]], axis=-2)
     if dealias:
-        dy_h[:, g.n_keep:] = 0.0
+        dy_h[..., g.n_keep:] = 0.0
     dy = irfft(dy_h, n=g.N)
     if not np.all(np.isfinite(dy)):
         raise FloatingPointError("non-finite tendency (overflow)")

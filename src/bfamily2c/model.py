@@ -19,6 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 
 class CaseTag(Enum):
@@ -61,6 +64,21 @@ class ModelParams:
         for name in ("k1", "k2", "k3"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"non-finite coefficient {name}")
+
+
+class ParamStack:
+    """The ModelParams of a batch of members, with k1, k2 and k3 as
+    (B, 1) columns that broadcast against the members' rows (B, N).
+
+    eval_rhs and make_record read only k1, k2 and k3, so a ParamStack
+    stands in for one ModelParams there; `members` keeps each member's
+    own.
+    """
+
+    def __init__(self, members: Sequence[ModelParams]):
+        self.members = tuple(members)
+        self.k1, self.k2, self.k3 = (np.array([[getattr(q, k)] for q in self.members])
+                                     for k in ("k1", "k2", "k3"))
 
 
 @dataclass(frozen=True)

@@ -176,12 +176,14 @@ class Grid:
         """
         return self.spectrum_norm_sq(np.fft.rfft(f), s)
 
-    def spectrum_norm_sq(self, fh: np.ndarray, s: float) -> float:
-        """sobolev_norm_sq of the field whose rfft is fh."""
+    def spectrum_norm_sq(self, fh: np.ndarray, s: float) -> float | np.ndarray:
+        """sobolev_norm_sq of the field whose rfft is fh; a stack of
+        spectra (..., N/2 + 1) gives the norm of each row."""
         if not np.isfinite(s):
             raise ValueError("Sobolev index s must be finite")
         power = self.helm**s * np.abs(fh) ** 2
-        return float(2.0 * self.L * _parseval_sum(power) / self.N**2)
+        norm = 2.0 * self.L * _parseval_sum(power) / self.N**2
+        return float(norm) if np.ndim(fh) == 1 else norm
 
     def tail_fraction(self, f: np.ndarray) -> float | np.ndarray:
         """Share of the discrete energy of f held by modes N/6 < n <= N/3.
@@ -190,8 +192,8 @@ class Grid:
         f is resolved its spectrum decays exponentially and the share
         sits at the roundoff floor; its rise measures the loss of
         resolution (Sulem, Sulem & Frisch, J. Comput. Phys. 50 (1983)
-        138).  A zero field has share 0.  A stack (F, N) gives the (F,)
-        shares of its rows, each bit for bit the share of the row alone.
+        138).  A zero field has share 0.  A stack (..., N) gives the
+        share of each row, bit for bit the share of the row alone.
         """
         power = np.abs(np.fft.rfft(f)) ** 2
         total = _parseval_sum(power)

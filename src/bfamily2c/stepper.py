@@ -34,7 +34,8 @@ from .characteristics import (BOUNDARY_MARGIN, CharField,
 from .diagnostics import (DiagRecord, SymmetryMode, fill_identity_residuals,
                           make_record)
 from .dynamics import State, Tendency, eval_rhs
-from .model import Branch, Framework, ModelParams, classify_scenario
+from .model import (Branch, Framework, ModelParams, ParamStack,
+                    classify_scenario)
 from .spectral import Grid
 
 logger = logging.getLogger(__name__)
@@ -66,10 +67,14 @@ class BlowupQuantity(Enum):
 
 
 class OverflowSignal(FloatingPointError):
-    """Raised when an RK4 stage (or the combine) produced non-finite values."""
+    """Raised when an RK4 stage (or the combine) produced non-finite values.
 
-    def __init__(self, stage_index: int, t: float):
-        super().__init__(f"overflow in RK4 stage {stage_index} at t={t:.6g}")
+    Raised by a batch, it does not say which member overflowed, and t
+    holds every member's time; run_batch then steps the members alone.
+    """
+
+    def __init__(self, stage_index: int, t: float | np.ndarray):
+        super().__init__(f"overflow in RK4 stage {stage_index} at t={t}")
         self.stage_index = stage_index
         self.t = t
 
@@ -140,50 +145,67 @@ def _stage_tendency(s: State, p: ModelParams, g: Grid, dealias: bool,
         raise OverflowSignal(stage, s.t) from exc
 
 
-def _rates(x: tuple, k: Tendency, char: CharField | None, p: ModelParams,
-           g: Grid) -> tuple:
-    """The time derivative of the stage tuple x = (y[, q, exponent])."""
-    if char is None:
+def _rates(x: tuple, k: Tendency, members: Sequence[ModelParams], g: Grid) -> tuple:
+    """The time derivative of the stage tuple x = (y, q_0, exponent_0,
+    q_1, exponent_1, ...): the characteristics of member i ride its own
+    rows of y and of the tendency's u_x."""
+    if len(x) == 1:
         return (k.dy,)
-    return (k.dy, *characteristic_rates(x[0][0], k.ux, x[1], p, g))
+    u, ux = x[0][..., 0, :].reshape(-1, g.N), k.ux.reshape(-1, g.N)
+    return (k.dy, *(r for i, q in enumerate(x[1::2])
+                    for r in characteristic_rates(u[i], ux[i], q, members[i], g)))
 
 
 def step_rk4(
     s: State,
-    dt: float,
-    p: ModelParams,
+    dt: float | np.ndarray,
+    p: ModelParams | ParamStack,
     g: Grid,
     dealias: bool = True,
     k1: Tendency | None = None,
-    char: CharField | None = None,
-) -> tuple[State, CharField | None]:
+    char: CharField | list[CharField] | None = None,
+) -> tuple[State, CharField | list[CharField] | None]:
     """One classical RK4 step: the new state and the advanced char (or None).
 
-    k1 is the stage-1 tendency of s when the caller has it (run() takes
-    its u_x for the step size); otherwise it is evaluated here.  Stage
+    k1 is the stage-1 tendency of s when the caller has it (run_batch
+    takes its u_x for the step size); otherwise it is evaluated here.  Stage
     i is evaluated at t + w_i dt.  Given char, the stages advance the
     tuple (y, q, accumulated_integral) in one tableau; the
     characteristic rates take the u_x each stage's tendency computed.
     Overflow in a stage raises OverflowSignal with the stage index, and
     a non-finite y, q or exponent after the combine with index 4.
+
+    A batch steps in lockstep: s.y is (B, 2, N), s.t and dt are per
+    member (B,), p is a ParamStack and char, if given, a list of the
+    members' CharFields.  Each member's new rows are bit for bit those
+    of its step alone.
     """
-    if not dt > 0.0:
+    batch = s.y.ndim == 3
+    if not np.all(np.asarray(dt) > 0.0):
         raise ValueError(f"dt must be positive, got {dt}")
     t = s.t
-    x = (s.y,) if char is None else (s.y, char.q, char.accumulated_integral)
+    members = p.members if batch else (p,)
+    chars = [] if char is None else list(char) if batch else [char]
+    dts = np.ravel(dt).tolist()
+    # the stage tuple, and the step of each entry: y takes dt as a
+    # (B, 1, 1) column, member i's characteristics its own dt
+    x = (s.y, *(a for c in chars for a in (c.q, c.accumulated_integral)))
+    h = (np.reshape(dt, (-1, 1, 1)) if batch else dt,
+         *(d for c, d in zip(chars, dts) for _ in (c.q, c.accumulated_integral)))
     k = k1 if k1 is not None else _stage_tendency(s, p, g, dealias, 0)
-    rs = [_rates(x, k, char, p, g)]
+    rs = [_rates(x, k, members, g)]
     for stage, w in ((1, 0.5), (2, 0.5), (3, 1.0)):
-        xi = tuple(xj + (w * dt) * rj for xj, rj in zip(x, rs[-1]))
+        xi = tuple(xj + (w * hj) * rj for xj, hj, rj in zip(x, h, rs[-1]))
         k = _stage_tendency(State(t=t + w * dt, y=xi[0]), p, g, dealias, stage)
-        rs.append(_rates(xi, k, char, p, g))
+        rs.append(_rates(xi, k, members, g))
 
-    x_new = tuple(xj + (dt / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-                  for xj, (r1, r2, r3, r4) in zip(x, zip(*rs)))
+    x_new = tuple(xj + (hj / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
+                  for xj, hj, (r1, r2, r3, r4) in zip(x, h, zip(*rs)))
     if not all(np.all(np.isfinite(xj)) for xj in x_new):
         raise OverflowSignal(4, t)
-    char_new = (None if char is None
-                else update_characteristics(char, dt, *x_new[1:], p, g))
+    chars = [update_characteristics(c, d, q, a, mp, g) for c, d, q, a, mp
+             in zip(chars, dts, x_new[1::2], x_new[2::2], members)]
+    char_new = None if char is None else chars if batch else chars[0]
     return State(t=t + dt, y=x_new[0]), char_new
 
 
@@ -246,15 +268,52 @@ def _detection_candidates(
     return hits
 
 
-def run(
-    s0: State,
-    p: ModelParams,
+@dataclass
+class _Member:
+    """A member of run_batch: its parameters, trajectory and, once it
+    has stopped, its report."""
+
+    p: ModelParams
+    traj: Trajectory
+    char: CharField | None
+    report: RunReport | None = None
+    last_recorded: int = -1
+    warned_boundary: bool = False
+
+
+def _advance(s: State, ps: ParamStack, ctl: StepControl, g: Grid,
+             chars: list[CharField] | None):
+    """One lockstep step of the batch s: (new state, new chars, each
+    member's DtChoice, dt).  Each member's stage-1 tendency gives its
+    step size and is stage 1 of its step."""
+    k1 = _stage_tendency(s, ps, g, ctl.dealias, 0)
+    choices = [choose_dt(State(t=t, y=y), q, ctl, g, ux)
+               for t, y, q, ux in zip(s.t.tolist(), s.y, ps.members, k1.ux)]
+    dt = np.minimum([c.dt for c in choices], ctl.t_end - s.t)
+    s_new, chars = step_rk4(s, dt, ps, g, dealias=ctl.dealias, k1=k1, char=chars)
+    return s_new, chars, choices, dt
+
+
+def run_batch(
+    states: Sequence[State],
+    params: Sequence[ModelParams],
     ctl: StepControl,
     g: Grid,
     diag: DiagSettings | None = None,
     hooks: Sequence[Callable[[int, State], None]] = (),
-) -> tuple[Trajectory, RunReport]:
-    """Integrate until t_end, blow-up detection, lost resolution, or overflow.
+) -> tuple[list[Trajectory], list[RunReport]]:
+    """Integrate members in lockstep, each until t_end, blow-up
+    detection, lost resolution, or overflow.
+
+    The members share g, ctl and diag; each has its own state (2, N)
+    and params.  Their states advance as one stack (B, 2, N), one
+    step_rk4 per step, and are recorded by one make_record.  A member
+    that stops leaves the stack.  numpy computes each row of a stack
+    bit for bit as the row alone, so every member's trajectory and
+    report are those of run() on it alone.  A stage that overflows
+    names no member: that step is then taken by each member alone.
+    Each hook is called as hook(n_steps, state) for every member that
+    took the step.
 
     Detection: the branch-relevant gradient quantity (per
     classify_scenario under ctl.framework) exceeds
@@ -277,104 +336,170 @@ def run(
     Identical inputs produce bit-identical trajectories on one
     platform.
     """
+    if len(states) != len(params) or not states:
+        raise ValueError("need one ModelParams per state, and at least one state")
     diag = diag or DiagSettings()
-    scenario = classify_scenario(p, ctl.framework)
-
-    char = (init_characteristics(s0.rho, p, g, diag.char_stride)
-            if diag.char_stride > 0 else None)
-    warned_boundary = False
-
-    traj = Trajectory()
-    s = s0
+    scenarios = [classify_scenario(p, ctl.framework) for p in params]
+    members = [_Member(p, Trajectory(),
+                       init_characteristics(s0.rho, p, g, diag.char_stride)
+                       if diag.char_stride > 0 else None)
+               for s0, p in zip(states, params)]
+    live = list(range(len(members)))  # the member of each row of s
+    s = State(t=np.array([s0.t for s0 in states], dtype=float),
+              y=np.stack([s0.y for s0 in states]))
+    ps = ParamStack(params)
     n_steps = 0
-    status = RunStatus.REACHED_T_END
-    blowup: BlowupDiagnostic | None = None
-    overflow_stage: int | None = None
-    last_recorded = -1
 
-    def record(state: State, dt_used: float) -> None:
-        nonlocal last_recorded
-        tres = math.nan
-        qxmin = math.nan
-        if char is not None:
-            tres = transport_residual(state, char, p, g)
-            qxmin = float(np.min(char.qx))
-        traj.records.append(make_record(
-            state, dt_used, p, g,
-            step=n_steps,
-            hs_order=diag.hs_order,
-            symmetry_mode=diag.symmetry_mode,
-            transport_res=tres,
-            qx_min=qxmin,
-        ))
-        last_recorded = n_steps
+    def record(idx: list[int], rows: State, dt, step: int) -> None:
+        """One make_record of the members idx, whose states rows stacks."""
+        tres, qxmin = [], []
+        for i, t, y in zip(idx, rows.t.tolist(), rows.y):
+            c = members[i].char
+            tres.append(math.nan if c is None
+                        else transport_residual(State(t=t, y=y), c, members[i].p, g))
+            qxmin.append(math.nan if c is None else float(np.min(c.qx)))
+        recs = make_record(rows, dt, ParamStack([members[i].p for i in idx]), g,
+                           step=step, hs_order=diag.hs_order,
+                           symmetry_mode=diag.symmetry_mode,
+                           transport_res=tres, qx_min=qxmin)
+        for i, rec in zip(idx, recs):
+            members[i].traj.records.append(rec)
+            members[i].last_recorded = step
 
-    def snapshot(state: State) -> None:
-        traj.snapshots.append((n_steps, State(t=state.t, y=state.y.copy())))
+    def snapshot(idx: list[int], rows: State, step: int) -> None:
+        for i, t, y in zip(idx, rows.t.tolist(), rows.y):
+            members[i].traj.snapshots.append((step, State(t=t, y=y.copy())))
 
-    record(s, 0.0)
+    def leave(stops: dict, step: int) -> None:
+        """End the members of the rows j in stops at those rows of s,
+        after `step` steps, and drop the rows from the batch;
+        stops[j] = (status, blowup, overflow_stage)."""
+        nonlocal s, live, ps
+        final = [j for j in stops if members[live[j]].last_recorded != step]
+        if final:
+            # final row: dt column holds the time elapsed since the previous record
+            sub = State(t=s.t[final], y=s.y[final])
+            idx = [live[j] for j in final]
+            record(idx, sub, [t - members[i].traj.records[-1].t
+                              for i, t in zip(idx, sub.t.tolist())], step)
+        for j, (status, blowup, stage) in stops.items():
+            m = members[live[j]]
+            if diag.snapshot_every > 0 and m.traj.snapshots[-1][0] != step:
+                snapshot([live[j]], State(t=s.t[j:j + 1], y=s.y[j:j + 1]), step)
+            m.report = RunReport(status=status, t_final=float(s.t[j]),
+                                 n_steps=step, blowup=blowup, overflow_stage=stage)
+        rest = [j for j in range(len(live)) if j not in stops]
+        s = State(t=s.t[rest], y=s.y[rest])
+        live = [live[j] for j in rest]
+        ps = ParamStack([members[i].p for i in live])
+
+    record(live, s, 0.0, 0)
     if diag.snapshot_every > 0:
-        snapshot(s)
+        snapshot(live, s, 0)
 
     t_eps = 1e-12 * max(1.0, ctl.t_end)
-    while ctl.t_end - s.t > t_eps:
-        try:
-            k1 = _stage_tendency(s, p, g, ctl.dealias, 0)
-            choice = choose_dt(s, p, ctl, g, k1.ux)
-            dt = min(choice.dt, ctl.t_end - s.t)
-            s, char = step_rk4(s, dt, p, g, dealias=ctl.dealias, k1=k1,
-                               char=char)
-        except OverflowSignal as exc:
-            status = RunStatus.OVERFLOW
-            overflow_stage = exc.stage_index
-            logger.warning("overflow at t=%.6g (stage %d); terminating run",
-                           s.t, exc.stage_index)
+    stops = {j: (RunStatus.REACHED_T_END, None, None)
+             for j, t in enumerate(s.t.tolist()) if ctl.t_end - t <= t_eps}
+    while True:
+        if stops:
+            leave(stops, n_steps)
+        if not live:
             break
-        if char is not None and char.near_boundary and not warned_boundary:
-            logger.warning(
-                "characteristic evaluation points within %.0f%% of the "
-                "domain half-width at t=%.6g; transport residuals may "
-                "degrade", 100 * (1 - BOUNDARY_MARGIN), char.t)
-            warned_boundary = True
+        chars = [members[i].char for i in live] if diag.char_stride > 0 else None
+        try:
+            s_new, chars, choices, dt = _advance(s, ps, ctl, g, chars)
+        except OverflowSignal as exc:
+            # each member alone: the others' rows come out as in the
+            # batch, and the ones that overflow name their stage
+            parts, overflow = {}, {}
+            if len(live) == 1:
+                overflow[0] = exc.stage_index
+            else:
+                for j, q in enumerate(ps.members):
+                    try:
+                        parts[j] = _advance(State(t=s.t[j:j + 1], y=s.y[j:j + 1]),
+                                            ParamStack([q]), ctl, g,
+                                            chars and chars[j:j + 1])
+                    except OverflowSignal as alone:
+                        overflow[j] = alone.stage_index
+            for j, stage in overflow.items():
+                logger.warning("overflow at t=%.6g (stage %d); terminating run",
+                               s.t[j], stage)
+            leave({j: (RunStatus.OVERFLOW, None, stage)
+                   for j, stage in overflow.items()}, n_steps)
+            if not live:
+                break
+            out = list(parts.values())
+            s_new = State(t=np.concatenate([o[0].t for o in out]),
+                          y=np.concatenate([o[0].y for o in out]))
+            chars = None if chars is None else [c for o in out for c in o[1]]
+            choices = [c for o in out for c in o[2]]
+            dt = np.concatenate([o[3] for o in out])
+        s = s_new
         n_steps += 1
-        for hook in hooks:
-            hook(n_steps, s)
+        ts = s.t.tolist()
+        for j, i in enumerate(live):
+            m = members[i]
+            if chars is not None:
+                m.char = chars[j]
+            if m.char is not None and m.char.near_boundary and not m.warned_boundary:
+                logger.warning(
+                    "characteristic evaluation points within %.0f%% of the "
+                    "domain half-width at t=%.6g; transport residuals may "
+                    "degrade", 100 * (1 - BOUNDARY_MARGIN), m.char.t)
+                m.warned_boundary = True
+            for hook in hooks:
+                hook(n_steps, State(t=ts[j], y=s.y[j]))
 
         if n_steps % diag.every == 0:
-            record(s, dt)
+            record(live, s, dt.tolist(), n_steps)
         if diag.snapshot_every > 0 and n_steps % diag.snapshot_every == 0:
-            snapshot(s)
+            snapshot(live, s, n_steps)
 
-        # only a collapsed step short of t_end can report blow-up
-        if choice.collapsed and ctl.t_end - s.t > t_eps:
-            ux, rhox = g.derivative(s.y, 1)
-            hits = _detection_candidates(scenario.branch, scenario.rho_x_relevant,
+        stops = {}
+        for j, (choice, t) in enumerate(zip(choices, ts)):
+            # only a collapsed step short of t_end can report blow-up
+            if not (choice.collapsed and ctl.t_end - t > t_eps):
+                continue
+            sc = scenarios[live[j]]
+            ux, rhox = g.derivative(s.y[j], 1)
+            hits = _detection_candidates(sc.branch, sc.rho_x_relevant,
                                          ux, rhox, ctl.blowup_grad_threshold)
             if hits:
-                quantity, value, j = max(hits, key=lambda h: abs(h[1]))
-                blowup = BlowupDiagnostic(quantity=quantity, value=value,
-                                          location_index=j, t_detected=s.t)
-                status = RunStatus.BLOW_UP_DETECTED
+                quantity, value, x_j = max(hits, key=lambda h: abs(h[1]))
+                stops[j] = (RunStatus.BLOW_UP_DETECTED,
+                            BlowupDiagnostic(quantity=quantity, value=value,
+                                             location_index=x_j, t_detected=t),
+                            None)
                 logger.info("blow-up detected at t=%.6g: %s=%.6g at x=%.6g",
-                            s.t, quantity.value, value, g.x[j])
-                break
+                            t, quantity.value, value, g.x[x_j])
         if ctl.resolution_tol is not None:
-            tail = max(g.tail_fraction(s.y))
-            if tail > ctl.resolution_tol:
-                status = RunStatus.RESOLUTION_LOST
-                logger.info("resolution lost at t=%.6g: tail fraction %.3g "
-                            "> %.3g", s.t, tail, ctl.resolution_tol)
-                break
+            for j, pair in enumerate(g.tail_fraction(s.y).tolist()):
+                tail = max(pair)
+                if j not in stops and tail > ctl.resolution_tol:
+                    stops[j] = (RunStatus.RESOLUTION_LOST, None, None)
+                    logger.info("resolution lost at t=%.6g: tail fraction %.3g "
+                                "> %.3g", ts[j], tail, ctl.resolution_tol)
+        for j, t in enumerate(ts):
+            if j not in stops and ctl.t_end - t <= t_eps:
+                stops[j] = (RunStatus.REACHED_T_END, None, None)
 
-    if last_recorded != n_steps:
-        # final row: dt column holds the time elapsed since the previous record
-        record(s, s.t - traj.records[-1].t)
-    if diag.snapshot_every > 0 and (not traj.snapshots
-                                    or traj.snapshots[-1][0] != n_steps):
-        snapshot(s)
+    for m in members:
+        fill_identity_residuals(m.traj.records)
+        m.traj.char = m.char
+    return [m.traj for m in members], [m.report for m in members]
 
-    fill_identity_residuals(traj.records)
-    traj.char = char
-    report = RunReport(status=status, t_final=s.t, n_steps=n_steps,
-                       blowup=blowup, overflow_stage=overflow_stage)
+
+def run(
+    s0: State,
+    p: ModelParams,
+    ctl: StepControl,
+    g: Grid,
+    diag: DiagSettings | None = None,
+    hooks: Sequence[Callable[[int, State], None]] = (),
+) -> tuple[Trajectory, RunReport]:
+    """Integrate s0 until t_end, blow-up detection, lost resolution, or
+    overflow: run_batch of a batch of one, whose docstring says when
+    each stop fires."""
+    (traj,), (report,) = run_batch([s0], [p], ctl, g, diag, hooks)
     return traj, report

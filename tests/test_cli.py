@@ -381,35 +381,92 @@ def test_cmd_sweep(tmp_path):
     assert (tmp_path / "sw" / "case_i_b3_a0p5" / "manifest.json").exists()
 
 
-class SerialPool:
-    """Stands in for the sweep's process pool: runs each job at submit."""
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands in for the sweep's process pool: runs each job at submit.
+    Returns the list of submitted jobs, one per batch of members."""
+    jobs = []
 
-    def __init__(self, max_workers=None):
-        pass
+    class SerialPool:
+        def __init__(self, max_workers=None):
+            pass
 
-    def __enter__(self):
-        return self
+        def __enter__(self):
+            return self
 
-    def __exit__(self, *exc):
-        return False
+        def __exit__(self, *exc):
+            return False
 
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+        def submit(self, fn, *args):
+            jobs.append(args)
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return jobs
 
 
-def test_sweep_parses_each_member_once(tmp_path, monkeypatch):
+def test_sweep_submits_batches_and_parses_each_member_once(tmp_path, monkeypatch,
+                                                            serial_pool):
     parsed = []
     real_parse = cli.parse_config
     monkeypatch.setattr(cli, "parse_config",
                         lambda cfg: parsed.append(cfg) or real_parse(cfg))
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    assert main(["sweep", str(write_config(tmp_path, sweep_config(tmp_path)))]) == 0
-    assert len(parsed) == 2
+    cfg = sweep_config(tmp_path)
+    cfg["grid"]["N"] = 1024  # 2^14 state values hold 8 members
+    cfg["sweep"] = {"case": ["case_i", "case_ii"], "b": [2.0, 3.0],
+                    "amplitude": [0.25, 0.5, 0.75, 1.0]}
+    assert main(["sweep", str(write_config(tmp_path, cfg))]) == 0
+    assert [len(members) for (members,) in serial_pool] == [8, 8]
+    assert len(parsed) == 16
     lines = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
-    assert lines[1].startswith("case_i,2,2,4,1,0.5,reached_t_end")
-    assert lines[2].startswith("case_i,3,3,6,1,0.5,reached_t_end")
+    assert len(lines) == 17
+    assert lines[1].startswith("case_i,2,2,4,1,0.25,reached_t_end")
+    assert lines[16].startswith("case_ii,3,4,2,3,1,reached_t_end")
+
+
+def assert_members_match_single_runs(tmp_path, cfg) -> list[str]:
+    """Sweep cfg, then `run` each member's echoed config: every file and
+    manifest block is the same.  Returns the member directory names."""
+    cfg["outputs"]["directory"] = str(tmp_path / "sw")
+    main(["sweep", str(write_config(tmp_path, cfg))])
+    names = []
+    for path in sorted((tmp_path / "sw").glob("*/manifest.json")):
+        names.append(path.parent.name)
+        batched = json.loads(path.read_text())
+        alone_cfg = json.loads(json.dumps(batched["config"]))
+        alone_cfg["outputs"]["directory"] = str(tmp_path / "alone" / names[-1])
+        main(["run", str(write_config(tmp_path, alone_cfg))])
+        alone_dir = tmp_path / "alone" / names[-1]
+        alone = json.loads((alone_dir / "manifest.json").read_text())
+        for name in batched["files"]:
+            assert (path.parent / name).read_bytes() == (alone_dir / name).read_bytes()
+        assert alone.pop("config") == alone_cfg
+        batched.pop("config")
+        assert alone == batched
+    return names
+
+
+def test_shipped_sweep_members_equal_their_single_runs(tmp_path, serial_pool):
+    # 16 members with characteristics at N=1024: two batches of 8
+    cfg = json.loads((CONFIGS / "sweep.json").read_text())
+    names = assert_members_match_single_runs(tmp_path, cfg)
+    assert len(serial_pool) == 2
+    assert names == sorted(f"{case}_b{b}_a{a}" for case in ("case_i", "case_ii")
+                           for b in ("1p5", "2", "2p5", "3") for a in ("0p25", "0p5"))
+
+
+def test_sweep_member_overflow_leaves_the_others_alone(tmp_path, serial_pool):
+    # the 1e160 member overflows in the first stage of step 1; the batch
+    # takes that step member by member and goes on without it
+    cfg = sweep_config(tmp_path)
+    cfg["sweep"]["amplitude"] = [0.5, 1e160, 1.0]
+    names = assert_members_match_single_runs(tmp_path, cfg)
+    assert len(serial_pool) == 1 and len(names) == 6
+    status = {n: json.loads((tmp_path / "sw" / n / "manifest.json").read_text())
+              ["report"]["status"] for n in names}
+    assert sorted(status.values()) == ["overflow"] * 2 + ["reached_t_end"] * 4
 
 
 @pytest.mark.parametrize("sweep, needle", [
@@ -420,8 +477,14 @@ def test_sweep_parses_each_member_once(tmp_path, monkeypatch):
     ({"b": [2.0], "amplitude": [0.5, False]},
      r"sweep: amplitude\[1\] must be a number"),
     ({"amplitude": [1.0]}, r"sweep: b is empty"),
+    # directory names keep 6 significant digits
+    ({"b": [2.0], "amplitude": [0.1, 0.1000001]},
+     r"sweep members case=case_i b=2\.0 amplitude=0\.1 and case=case_i b=2\.0 "
+     r"amplitude=0\.1000001 share the directory 'case_i_b2_a0p1'"),
+    ({"b": [2.0, 2.0]}, r"sweep members case=case_i b=2\.0 amplitude=1\.0 and "
+     r"case=case_i b=2\.0 amplitude=1\.0 share the directory 'case_i_b2_a1'"),
 ], ids=["custom_case", "unknown_key", "b_not_a_number", "b_boolean",
-        "amplitude_boolean", "no_runs"])
+        "amplitude_boolean", "no_runs", "colliding_names", "repeated_member"])
 def test_sweep_rejects_bad_section(tmp_path, caplog, sweep, needle):
     cfg = {
         "sweep": sweep,

@@ -34,14 +34,14 @@ def test_package_api_is_frozen():
     assert frozenset(bfamily2c.__all__) == frozenset({
         "Branch", "CaseTag", "CharField", "DIAG_COLUMNS", "DiagRecord",
         "DiagSettings", "EXTRA_COLUMNS", "Framework", "Grid", "InitKind",
-        "InitSpec", "Kernel", "ModelParams", "OverflowSignal",
+        "InitSpec", "Kernel", "ModelParams", "OverflowSignal", "ParamStack",
         "RESOLUTION_TOL", "RunReport", "RunStatus", "State", "StepControl",
         "SymmetryMode", "Tendency", "Trajectory",
         "blowup_bound", "build_initial", "choose_dt", "classify_scenario",
         "conservation_check", "custom_params", "eval_rhs",
         "fill_identity_residuals", "gronwall_check_h2", "h3_energy_check",
         "init_characteristics", "make_params", "make_record", "profile",
-        "rho_sup_bound_check", "riccati_check", "run", "step_rk4",
+        "rho_sup_bound_check", "riccati_check", "run", "run_batch", "step_rk4",
         "symmetry_residual", "transport_residual",
     })
     assert len(bfamily2c.__all__) == len(set(bfamily2c.__all__))

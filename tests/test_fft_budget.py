@@ -11,8 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from bfamily2c import (DiagSettings, Grid, RunStatus, State, StepControl,
-                       eval_rhs, init_characteristics, make_record, run,
+from bfamily2c import (CaseTag, DiagSettings, Grid, ParamStack, RunStatus,
+                       State, StepControl, eval_rhs, init_characteristics,
+                       make_params, make_record, run, step_rk4,
                        transport_residual)
 
 
@@ -125,6 +126,22 @@ def test_resolution_stop_takes_one_stacked_rfft(grid20, params_b2, fft_calls):
     n, r = rep.n_steps, len(traj.records)
     assert calls == {"rfft": 9 * n + 2 * r, "irfft": 8 * n + 2 * r}
     assert sum(rows.values()) == 30 * n + 11 * r
+
+
+def test_batch_takes_the_calls_of_one_member(grid20, fft_calls):
+    calls, rows, _ = fft_calls
+    s = _state(grid20)
+    batch = State(np.zeros(3), np.stack([s.y, 2.0 * s.y, 0.5 * s.y]))
+    ps = ParamStack([make_params(CaseTag.CASE_I, b) for b in (1.5, 2.0, 3.0)])
+    step_rk4(batch, np.array([1e-3, 2e-3, 3e-3]), ps, grid20)
+    # four tendencies, each the 4 calls of eval_rhs; its 4 forward and 3
+    # inverse rows once per member
+    assert calls == {"rfft": 8, "irfft": 8}
+    assert rows == {"rfft": 3 * 16, "irfft": 3 * 12}
+    _reset(calls, rows, [])
+    make_record(batch, [0.1, 0.2, 0.3], ps, grid20)
+    assert calls == {"rfft": 2, "irfft": 2}
+    assert rows == {"rfft": 3 * 3, "irfft": 3 * 8}
 
 
 @pytest.mark.parametrize("N", [64, 256, 1024, 4096])

@@ -6,8 +6,9 @@ import pytest
 
 from bfamily2c import (CaseTag, DiagSettings, Framework, Grid, InitKind,
                        InitSpec, OverflowSignal, RunStatus, State,
-                       StepControl, build_initial, choose_dt, custom_params,
-                       init_characteristics, make_params, run, step_rk4)
+                       StepControl, SymmetryMode, build_initial, choose_dt,
+                       custom_params, init_characteristics, make_params, run,
+                       run_batch, step_rk4)
 from bfamily2c import stepper
 
 
@@ -297,3 +298,66 @@ def test_framework_changes_watched_quantities(grid20):
     assert rep_hs.status is RunStatus.BLOW_UP_DETECTED
     assert rep_hs.blowup.quantity.value == "sup_rhox"
     assert rep_h2.status is RunStatus.REACHED_T_END
+
+
+# ----------------------------------------------------------------------
+# lockstep batches
+
+def assert_same_run(batched, alone):
+    (tb, rb), (ta, ra) = batched, alone
+    assert rb == ra
+    # float repr round-trips exactly, and nan fields compare equal
+    assert [repr(r) for r in tb.records] == [repr(r) for r in ta.records]
+    assert [(n, s.t) for n, s in tb.snapshots] == [(n, s.t) for n, s in ta.snapshots]
+    assert all(np.array_equal(b.y, a.y)
+               for (_, b), (_, a) in zip(tb.snapshots, ta.snapshots))
+    assert (tb.char is None) == (ta.char is None)
+    if ta.char is not None:
+        assert tb.char.t == ta.char.t
+        assert np.array_equal(tb.char.q, ta.char.q)
+        assert np.array_equal(tb.char.accumulated_integral,
+                              ta.char.accumulated_integral)
+
+
+def _odd_u(g, amplitude, t0):
+    s = build_initial(InitSpec(InitKind.ODD_GAUSSIAN),
+                      InitSpec(InitKind.EVEN_BUMP_ZERO_AT_ORIGIN, amplitude=0.5), g)
+    return State(t0, np.stack([amplitude * s.u, s.rho]))
+
+
+@pytest.mark.parametrize("ctl, members, statuses", [
+    # one member overflows in the first stage of step 1, so that step is
+    # taken member by member; two lose resolution at steps 6 and 10 and
+    # two reach t_end at steps 26 and 24
+    (StepControl(t_end=0.6, resolution_tol=1e-8),
+     [(0.2, CaseTag.CASE_I, 2.0), (1.0, CaseTag.CASE_I, 2.0),
+      (1e160, CaseTag.CASE_I, 2.0), (0.2, CaseTag.CASE_II, 3.0),
+      (0.1, CaseTag.CASE_II, 1.5)],
+     ["reached_t_end", "resolution_lost", "overflow", "resolution_lost",
+      "reached_t_end"]),
+    # dt pinned at its floor: only the member whose u_x passes the
+    # threshold is detected
+    (StepControl(t_end=0.12, blowup_grad_threshold=0.1, dt_min=0.05,
+                 dt_max=0.05, framework=Framework.H2),
+     [(1.0, CaseTag.CASE_I, 2.0), (0.01, CaseTag.CASE_I, 2.0)],
+     ["blow_up_detected", "reached_t_end"]),
+], ids=["resolution_and_overflow", "detection"])
+def test_run_batch_members_match_their_single_runs(ctl, members, statuses):
+    g = Grid(10.0, 256)
+    diag = DiagSettings(every=2, char_stride=4, snapshot_every=5,
+                        symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
+    # each member starts at its own time, so their clocks never agree
+    states = [_odd_u(g, amp, 0.01 * i) for i, (amp, _, _) in enumerate(members)]
+    params = [make_params(case, b) for _, case, b in members]
+    trajs, reports = run_batch(states, params, ctl, g, diag)
+    assert [r.status.value for r in reports] == statuses
+    for s0, p, traj, rep in zip(states, params, trajs, reports):
+        assert_same_run((traj, rep), run(s0, p, ctl, g, diag))
+
+
+def test_run_batch_needs_one_params_per_state(grid20, params_b2):
+    with pytest.raises(ValueError):
+        run_batch([smooth_state(grid20)] * 2, [params_b2], StepControl(t_end=0.1),
+                  grid20)
+    with pytest.raises(ValueError):
+        run_batch([], [], StepControl(t_end=0.1), grid20)
