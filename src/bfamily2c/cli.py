@@ -649,8 +649,9 @@ BATCH_STATE_VALUES = 2**14
 
 def _sweep_batch(setups: list[RunSetup]) -> list[tuple[dict, bool]]:
     """Worker: sweep members as one lockstep batch; returns each member's
-    (summary row, checks ok).  The members share the grid, control and
-    outputs sections, so the first member's stand for all."""
+    (summary row, checks ok).  The members share every section but the
+    model and the u amplitude, so the first member's grid, control and
+    diagnostic settings stand for all."""
     first = setups[0]
     trajs, reports = run_batch([_initial_state(st) for st in setups],
                                [st.params for st in setups], first.control,

@@ -152,7 +152,7 @@ def make_record(
         n=g.N)
 
     def I(f):  # Grid.integrate of each row
-        return g.dx * np.sum(f, axis=-1)
+        return g.dx * f.sum(axis=-1)
 
     # the fields broadcast against p's coefficients, the per-member
     # scalars against these flat ones
@@ -175,10 +175,10 @@ def make_record(
         l2_u=np.sqrt(np.fmax(0.0, g.spectrum_norm_sq(uh, 0.0))),
         hs_u=np.sqrt(np.fmax(0.0, g.spectrum_norm_sq(uh, hs_order))),
         hsm1_rho=np.sqrt(np.fmax(0.0, g.spectrum_norm_sq(rh, hs_order - 1.0))),
-        min_ux=np.min(ux, axis=-1),
-        max_ux=np.max(ux, axis=-1),
-        sup_rho=np.max(np.abs(rho), axis=-1),
-        sup_rhox=np.max(np.abs(rhox), axis=-1),
+        min_ux=ux.min(axis=-1),
+        max_ux=ux.max(axis=-1),
+        sup_rho=np.abs(rho).max(axis=-1),
+        sup_rhox=np.abs(rhox).max(axis=-1),
         e1=i_m2 + i_mx2 + i_rho2 + i_rhox2 + i_rhoxx2,
         e2=i_m2 + i_rho2 + i_rhox2,
         int_rho=I(rho),

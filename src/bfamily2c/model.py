@@ -72,13 +72,16 @@ class ParamStack:
 
     eval_rhs and make_record read only k1, k2 and k3, so a ParamStack
     stands in for one ModelParams there; `members` keeps each member's
-    own.
+    own.  A stack of one holds them as floats: they broadcast to the
+    same values, without numpy's per-call cost for tiny arrays.
     """
 
     def __init__(self, members: Sequence[ModelParams]):
         self.members = tuple(members)
-        self.k1, self.k2, self.k3 = (np.array([[getattr(q, k)] for q in self.members])
-                                     for k in ("k1", "k2", "k3"))
+        self.k1, self.k2, self.k3 = (
+            getattr(self.members[0], k) if len(self.members) == 1
+            else np.array([[getattr(q, k)] for q in self.members])
+            for k in ("k1", "k2", "k3"))
 
 
 @dataclass(frozen=True)

@@ -181,12 +181,12 @@ def step_rk4(
     of its step alone.
     """
     batch = s.y.ndim == 3
-    if not np.all(np.asarray(dt) > 0.0):
+    dts = np.ravel(dt).tolist()
+    if not all(d > 0.0 for d in dts):
         raise ValueError(f"dt must be positive, got {dt}")
     t = s.t
     members = p.members if batch else (p,)
     chars = [] if char is None else list(char) if batch else [char]
-    dts = np.ravel(dt).tolist()
     # the stage tuple, and the step of each entry: y takes dt as a
     # (B, 1, 1) column, member i's characteristics its own dt
     x = (s.y, *(a for c in chars for a in (c.q, c.accumulated_integral)))

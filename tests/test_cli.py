@@ -407,8 +407,7 @@ def serial_pool(monkeypatch):
     return jobs
 
 
-def test_sweep_submits_batches_and_parses_each_member_once(tmp_path, monkeypatch,
-                                                            serial_pool):
+def test_sweep_parses_each_member_once(tmp_path, monkeypatch, serial_pool):
     parsed = []
     real_parse = cli.parse_config
     monkeypatch.setattr(cli, "parse_config",
