@@ -10,9 +10,10 @@ Configs are JSON documents; every run directory receives
 
 `check <manifest>` re-derives every enabled check block, field by
 field, and the report's final step and time from the stored CSVs
-offline, and fails on any difference, hash mismatch or unparsable CSV,
-so a finished run directory is self-verifying.  Exit codes: 0 success,
-1 check failure or tampering, 2 usage/config error, 3 I/O error.
+offline, and fails on any difference, hash mismatch, missing or
+unparsable CSV, or an overflowed run, so a finished run directory is
+self-verifying.  Exit codes: 0 success, 1 check failure, overflow or
+tampering, 2 usage/config error, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -324,8 +325,11 @@ def evaluate_checks(records: list[DiagRecord], p: ModelParams,
             for name, check in _CHECKS.items()}
 
 
-def checks_all_passed(checks: dict) -> bool:
-    return all(v["passed"] for v in checks.values() if v["enabled"])
+def run_passed(manifest: dict) -> bool:
+    """Every enabled check passed and the run did not overflow: the few
+    records of an overflowed run satisfy the checks vacuously."""
+    return (manifest["report"]["status"] != RunStatus.OVERFLOW.value
+            and all(v["passed"] for v in manifest["checks"].values() if v["enabled"]))
 
 
 @dataclass(frozen=True)
@@ -537,7 +541,7 @@ def cmd_run(config_path: str, directory: str | None = None) -> int:
     except OSError as exc:
         logger.error("I/O error: %s", exc)
         return EXIT_IO
-    ok = checks_all_passed(manifest["checks"])
+    ok = run_passed(manifest)
     print(f"status={report.status.value} t_final={report.t_final:.6g} "
           f"steps={report.n_steps} records={len(traj.records)} "
           f"checks={'ok' if ok else 'FAILED'}")
@@ -550,12 +554,16 @@ def _verify_manifest(manifest_dir: Path, manifest: dict) -> tuple[bool, list[str
     files = manifest.get("files", {})
     if not isinstance(files, dict):
         raise ConfigError("manifest 'files' must be an object")
-    required = {"diagnostics.csv", "extras.csv",
-                *(path.name for path in manifest_dir.glob("snap_*.csv"))}
+    csvs = {"diagnostics.csv", "extras.csv"}
+    required = csvs | {path.name for path in manifest_dir.glob("snap_*.csv")}
     problems += [f"no hash for {name}" for name in sorted(required - set(files))]
+    missing = {name for name in csvs | set(files) if not (manifest_dir / name).is_file()}
+    problems += [f"missing file {name}" for name in sorted(missing)]
     for name, digest in files.items():
-        if _sha256(manifest_dir / name) != digest:
+        if name not in missing and _sha256(manifest_dir / name) != digest:
             problems.append(f"hash mismatch for {name}")
+    if missing & csvs:
+        return False, problems
     try:
         records = read_records(manifest_dir / "diagnostics.csv",
                                manifest_dir / "extras.csv")
@@ -564,6 +572,8 @@ def _verify_manifest(manifest_dir: Path, manifest: dict) -> tuple[bool, list[str
     if len(records) != manifest.get("n_records"):
         problems.append("record count differs from manifest")
     report = manifest["report"]
+    if report["status"] == RunStatus.OVERFLOW.value:
+        problems.append(f"the run overflowed in RK4 stage {report['overflow_stage']}")
     for key, val in (("n_steps", records[-1].step), ("t_final", records[-1].t)):
         if report[key] != val:
             problems.append(f"report '{key}' differs from the last record")
@@ -671,7 +681,7 @@ def _sweep_batch(setups: list[RunSetup]) -> list[tuple[dict, bool]]:
             "bound_respected": ("" if payload["respected"] is None
                                 else str(payload["respected"]).lower()),
         }
-        results.append((row, checks_all_passed(manifest["checks"])))
+        results.append((row, run_passed(manifest)))
     return results
 
 

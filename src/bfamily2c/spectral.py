@@ -59,7 +59,8 @@ class Grid:
     All operators are pure functions of their input array; the grid
     itself is immutable after construction and safe to share.  They do
     not validate fields: shape and finiteness are enforced where fields
-    enter or change (build_initial, eval_rhs, the RK4 combine).
+    enter or change (build_initial, and the stepper's per-member gate
+    on each RK4 stage tendency and on the combine).
     """
 
     def __init__(self, L: float, N: int):

@@ -69,14 +69,15 @@ class BlowupQuantity(Enum):
 class OverflowSignal(FloatingPointError):
     """Raised when an RK4 stage (or the combine) produced non-finite values.
 
-    Raised by a batch, it does not say which member overflowed, and t
-    holds every member's time; run_batch then steps the members alone.
+    t is the stage time, and rows marks the members that overflowed:
+    a (B,) mask for a batch, a 0-d one for a single state.
     """
 
-    def __init__(self, stage_index: int, t: float | np.ndarray):
+    def __init__(self, stage_index: int, t: float | np.ndarray, rows: np.ndarray):
         super().__init__(f"overflow in RK4 stage {stage_index} at t={t}")
         self.stage_index = stage_index
         self.t = t
+        self.rows = rows
 
 
 @dataclass(frozen=True)
@@ -138,11 +139,13 @@ def choose_dt(s: State, p: ModelParams, ctl: StepControl, g: Grid,
 
 def _stage_tendency(s: State, p: ModelParams, g: Grid, dealias: bool,
                     stage: int) -> Tendency:
-    """eval_rhs of one RK4 stage; overflow raises OverflowSignal(stage, s.t)."""
-    try:
-        return eval_rhs(s, p, g, dealias=dealias)
-    except FloatingPointError as exc:
-        raise OverflowSignal(stage, s.t) from exc
+    """eval_rhs of one RK4 stage; members whose tendency is not finite
+    raise OverflowSignal(stage, s.t, rows)."""
+    k = eval_rhs(s, p, g, dealias=dealias)
+    bad = ~np.isfinite(k.dy).all(axis=(-2, -1))
+    if bad.any():
+        raise OverflowSignal(stage, s.t, bad)
+    return k
 
 
 def _rates(x: tuple, k: Tendency, members: Sequence[ModelParams], g: Grid) -> tuple:
@@ -172,8 +175,9 @@ def step_rk4(
     i is evaluated at t + w_i dt.  Given char, the stages advance the
     tuple (y, q, accumulated_integral) in one tableau; the
     characteristic rates take the u_x each stage's tendency computed.
-    Overflow in a stage raises OverflowSignal with the stage index, and
-    a non-finite y, q or exponent after the combine with index 4.
+    A member whose stage tendency is not finite raises OverflowSignal
+    with the stage index, and one whose y, q or exponent is not finite
+    after the combine with index 4; the signal marks those members.
 
     A batch steps in lockstep: s.y is (B, 2, N), s.t and dt are per
     member (B,), p is a ParamStack and char, if given, a list of the
@@ -201,8 +205,12 @@ def step_rk4(
 
     x_new = tuple(xj + (hj / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
                   for xj, hj, (r1, r2, r3, r4) in zip(x, h, zip(*rs)))
-    if not all(np.all(np.isfinite(xj)) for xj in x_new):
-        raise OverflowSignal(4, t)
+    bad = ~np.isfinite(x_new[0]).all(axis=(-2, -1))
+    if chars:
+        bad = bad | np.reshape([not (np.isfinite(q).all() and np.isfinite(a).all())
+                                for q, a in zip(x_new[1::2], x_new[2::2])], bad.shape)
+    if bad.any():
+        raise OverflowSignal(4, t, bad)
     chars = [update_characteristics(c, d, q, a, mp, g) for c, d, q, a, mp
              in zip(chars, dts, x_new[1::2], x_new[2::2], members)]
     char_new = None if char is None else chars if batch else chars[0]
@@ -281,19 +289,6 @@ class _Member:
     warned_boundary: bool = False
 
 
-def _advance(s: State, ps: ParamStack, ctl: StepControl, g: Grid,
-             chars: list[CharField] | None):
-    """One lockstep step of the batch s: (new state, new chars, each
-    member's DtChoice, dt).  Each member's stage-1 tendency gives its
-    step size and is stage 1 of its step."""
-    k1 = _stage_tendency(s, ps, g, ctl.dealias, 0)
-    choices = [choose_dt(State(t=t, y=y), q, ctl, g, ux)
-               for t, y, q, ux in zip(s.t.tolist(), s.y, ps.members, k1.ux)]
-    dt = np.minimum([c.dt for c in choices], ctl.t_end - s.t)
-    s_new, chars = step_rk4(s, dt, ps, g, dealias=ctl.dealias, k1=k1, char=chars)
-    return s_new, chars, choices, dt
-
-
 def run_batch(
     states: Sequence[State],
     params: Sequence[ModelParams],
@@ -310,8 +305,9 @@ def run_batch(
     step_rk4 per step, and are recorded by one make_record.  A member
     that stops leaves the stack.  numpy computes each row of a stack
     bit for bit as the row alone, so every member's trajectory and
-    report are those of run() on it alone.  A stage that overflows
-    names no member: that step is then taken by each member alone.
+    report are those of run() on it alone.  The members that overflow
+    in a stage of a step leave with that stage, and the others take
+    the step again as one batch.
     Each hook is called as hook(n_steps, state) for every member that
     took the step.
 
@@ -407,35 +403,22 @@ def run_batch(
             break
         chars = [members[i].char for i in live] if diag.char_stride > 0 else None
         try:
-            s_new, chars, choices, dt = _advance(s, ps, ctl, g, chars)
+            # each member's stage-1 tendency gives its step size and is
+            # stage 1 of its step
+            k1 = _stage_tendency(s, ps, g, ctl.dealias, 0)
+            choices = [choose_dt(State(t=t, y=y), q, ctl, g, ux)
+                       for t, y, q, ux in zip(s.t.tolist(), s.y, ps.members, k1.ux)]
+            dt = np.minimum([c.dt for c in choices], ctl.t_end - s.t)
+            s, chars = step_rk4(s, dt, ps, g, dealias=ctl.dealias, k1=k1, char=chars)
         except OverflowSignal as exc:
-            # each member alone: the others' rows come out as in the
-            # batch, and the ones that overflow name their stage
-            parts, overflow = {}, {}
-            if len(live) == 1:
-                overflow[0] = exc.stage_index
-            else:
-                for j, q in enumerate(ps.members):
-                    try:
-                        parts[j] = _advance(State(t=s.t[j:j + 1], y=s.y[j:j + 1]),
-                                            ParamStack([q]), ctl, g,
-                                            chars and chars[j:j + 1])
-                    except OverflowSignal as alone:
-                        overflow[j] = alone.stage_index
-            for j, stage in overflow.items():
+            # the marked members leave; the rest retake the step, and one
+            # that overflows in a later stage is caught there
+            stops = {j: (RunStatus.OVERFLOW, None, exc.stage_index)
+                     for j in np.flatnonzero(exc.rows).tolist()}
+            for j in stops:
                 logger.warning("overflow at t=%.6g (stage %d); terminating run",
-                               s.t[j], stage)
-            leave({j: (RunStatus.OVERFLOW, None, stage)
-                   for j, stage in overflow.items()}, n_steps)
-            if not live:
-                break
-            out = list(parts.values())
-            s_new = State(t=np.concatenate([o[0].t for o in out]),
-                          y=np.concatenate([o[0].y for o in out]))
-            chars = None if chars is None else [c for o in out for c in o[1]]
-            choices = [c for o in out for c in o[2]]
-            dt = np.concatenate([o[3] for o in out])
-        s = s_new
+                               s.t[j], exc.stage_index)
+            continue
         n_steps += 1
         ts = s.t.tolist()
         for j, i in enumerate(live):

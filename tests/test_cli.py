@@ -270,6 +270,18 @@ def test_check_requires_every_artifact_hash(tmp_path, capsys):
             f"check FAILED: no hash for {name}" for name in missing], key
 
 
+def test_check_reports_a_missing_file(tmp_path, capsys):
+    # a hashed artifact that is gone is tampering, not an I/O error
+    assert main(["run", str(run_config(tmp_path))]) == 0
+    for name in ("snap_1.csv", "extras.csv", "diagnostics.csv"):
+        shutil.copytree(tmp_path / "out", tmp_path / name)
+        (tmp_path / name / name).unlink()
+        capsys.readouterr()
+        assert main(["check", str(tmp_path / name / "manifest.json")]) == 1, name
+        assert capsys.readouterr().out.splitlines() == [
+            f"check FAILED: missing file {name}"], name
+
+
 @pytest.mark.parametrize("block, key, value, line", [
     ("checks.gronwall", "worst_ratio", 123,
      "check 'gronwall' details differ from the records"),
@@ -425,47 +437,71 @@ def test_sweep_parses_each_member_once(tmp_path, monkeypatch, serial_pool):
     assert lines[16].startswith("case_ii,3,4,2,3,1,reached_t_end")
 
 
-def assert_members_match_single_runs(tmp_path, cfg) -> list[str]:
+def assert_members_match_single_runs(tmp_path, cfg) -> tuple[int, dict]:
     """Sweep cfg, then `run` each member's echoed config: every file and
-    manifest block is the same.  Returns the member directory names."""
+    manifest block is the same.  Returns the sweep's exit code and each
+    member directory's name with the exit code of its `run`."""
     cfg["outputs"]["directory"] = str(tmp_path / "sw")
-    main(["sweep", str(write_config(tmp_path, cfg))])
-    names = []
+    code = main(["sweep", str(write_config(tmp_path, cfg))])
+    names = {}
     for path in sorted((tmp_path / "sw").glob("*/manifest.json")):
-        names.append(path.parent.name)
+        name = path.parent.name
         batched = json.loads(path.read_text())
         alone_cfg = json.loads(json.dumps(batched["config"]))
-        alone_cfg["outputs"]["directory"] = str(tmp_path / "alone" / names[-1])
-        main(["run", str(write_config(tmp_path, alone_cfg))])
-        alone_dir = tmp_path / "alone" / names[-1]
+        alone_cfg["outputs"]["directory"] = str(tmp_path / "alone" / name)
+        names[name] = main(["run", str(write_config(tmp_path, alone_cfg))])
+        alone_dir = tmp_path / "alone" / name
         alone = json.loads((alone_dir / "manifest.json").read_text())
         for name in batched["files"]:
             assert (path.parent / name).read_bytes() == (alone_dir / name).read_bytes()
         assert alone.pop("config") == alone_cfg
         batched.pop("config")
         assert alone == batched
-    return names
+    return code, names
 
 
 def test_shipped_sweep_members_equal_their_single_runs(tmp_path, serial_pool):
     # 16 members with characteristics at N=1024: two batches of 8
     cfg = json.loads((CONFIGS / "sweep.json").read_text())
-    names = assert_members_match_single_runs(tmp_path, cfg)
+    code, names = assert_members_match_single_runs(tmp_path, cfg)
+    assert code == 0 and set(names.values()) == {0}
     assert len(serial_pool) == 2
-    assert names == sorted(f"{case}_b{b}_a{a}" for case in ("case_i", "case_ii")
+    assert list(names) == sorted(f"{case}_b{b}_a{a}" for case in ("case_i", "case_ii")
                            for b in ("1p5", "2", "2p5", "3") for a in ("0p25", "0p5"))
 
 
-def test_sweep_member_overflow_leaves_the_others_alone(tmp_path, serial_pool):
-    # the 1e160 member overflows in the first stage of step 1; the batch
-    # takes that step member by member and goes on without it
+def test_sweep_member_overflow_leaves_the_others_alone(tmp_path, serial_pool,
+                                                      capsys):
+    # the 1e160 members overflow in the first stage of step 1 and leave
+    # the batch, which takes that step again without them; an overflowed
+    # member does not pass, alone or in the sweep
     cfg = sweep_config(tmp_path)
     cfg["sweep"]["amplitude"] = [0.5, 1e160, 1.0]
-    names = assert_members_match_single_runs(tmp_path, cfg)
+    code, names = assert_members_match_single_runs(tmp_path, cfg)
     assert len(serial_pool) == 1 and len(names) == 6
+    assert code == 1
+    assert "sweep: 6 runs, 4 passed checks" in capsys.readouterr().out
     status = {n: json.loads((tmp_path / "sw" / n / "manifest.json").read_text())
               ["report"]["status"] for n in names}
     assert sorted(status.values()) == ["overflow"] * 2 + ["reached_t_end"] * 4
+    assert names == {n: 1 if status[n] == "overflow" else 0 for n in names}
+
+
+def test_overflowed_run_fails_run_and_check(tmp_path, capsys):
+    # with one record, every check holds vacuously: the status decides
+    cfg = sweep_config(tmp_path)
+    del cfg["sweep"]
+    cfg["model"] = {"case": "case_i", "b": 2.0}
+    cfg["initial"]["u"]["amplitude"] = 1e160
+    cfg["outputs"]["directory"] = str(tmp_path / "out")
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert capsys.readouterr().out.startswith(
+        "status=overflow t_final=0 steps=0 records=1 checks=FAILED")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert all(v["passed"] for v in manifest["checks"].values() if v["enabled"])
+    assert main(["check", str(tmp_path / "out" / "manifest.json")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "check FAILED: the run overflowed in RK4 stage 0"]
 
 
 @pytest.mark.parametrize("sweep, needle", [

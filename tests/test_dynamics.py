@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from bfamily2c import (CaseTag, Grid, Kernel, State, custom_params, eval_rhs,
-                       make_params)
+from bfamily2c import (CaseTag, Grid, Kernel, OverflowSignal, State,
+                       custom_params, eval_rhs, make_params, step_rk4)
 
 
 def mirror(f: np.ndarray) -> np.ndarray:
@@ -75,10 +77,17 @@ def test_k3_scales_drho(grid20):
 
 
 def test_nonfinite_state_raises(grid20, params_b2):
+    # eval_rhs hands an overflowed row on as computed and without a
+    # RuntimeWarning; the stepper's stage gate names it
     u = np.full(grid20.N, 1e300)  # u*u overflows to inf
-    with pytest.raises(FloatingPointError):
-        eval_rhs(State(0.0, np.stack([u, np.zeros(grid20.N)])), params_b2,
-                 grid20)
+    s = State(0.0, np.stack([u, np.zeros(grid20.N)]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dy = eval_rhs(s, params_b2, grid20).dy
+    assert not np.isfinite(dy).all()
+    with pytest.raises(OverflowSignal) as exc:
+        step_rk4(s, 1e-3, params_b2, grid20)
+    assert exc.value.stage_index == 0 and exc.value.rows
 
 
 def _oracle_states(g, rng):

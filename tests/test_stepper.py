@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bfamily2c import (CaseTag, DiagSettings, Framework, Grid, InitKind,
-                       InitSpec, OverflowSignal, RunStatus, State,
+                       InitSpec, OverflowSignal, ParamStack, RunStatus, State,
                        StepControl, SymmetryMode, build_initial, choose_dt,
                        custom_params, init_characteristics, make_params, run,
                        run_batch, step_rk4)
@@ -95,6 +95,13 @@ def test_step_rk4_overflow_signal(grid20, params_b2):
     with pytest.raises(OverflowSignal) as exc:
         step_rk4(s, 1e-3, params_b2, grid20)
     assert exc.value.stage_index == 0
+    # in a batch, the signal marks each member whose tendency is not finite
+    ok = smooth_state(grid20).y
+    batch = State(np.zeros(3), np.stack([ok, s.y, ok]))
+    with pytest.raises(OverflowSignal) as exc:
+        step_rk4(batch, np.full(3, 1e-3), ParamStack([params_b2] * 3), grid20)
+    assert exc.value.stage_index == 0
+    assert exc.value.rows.tolist() == [False, True, False]
 
 
 def test_step_rk4_characteristics_leave_the_state_alone(grid20, params_b2):
@@ -120,7 +127,9 @@ def test_step_rk4_evaluates_each_stage_at_its_time(grid20, params_b2,
         return real(s, *args, **kwargs)
 
     def overflow(s, *args, **kwargs):
-        raise FloatingPointError("overflow")
+        k = real(s, *args, **kwargs)
+        k.dy[1, 3] = np.inf
+        return k
 
     s = State(0.25, smooth_state(grid20).y)
     monkeypatch.setattr(stepper, "eval_rhs", spy)
@@ -131,6 +140,7 @@ def test_step_rk4_evaluates_each_stage_at_its_time(grid20, params_b2,
     with pytest.raises(OverflowSignal) as exc:
         step_rk4(s, 1e-2, params_b2, grid20, k1=real(s, params_b2, grid20))
     assert (exc.value.stage_index, exc.value.t) == (1, 0.25 + 0.5e-2)
+    assert exc.value.rows.shape == () and exc.value.rows
 
 
 # ----------------------------------------------------------------------
@@ -326,14 +336,22 @@ def _odd_u(g, amplitude, t0):
 
 
 @pytest.mark.parametrize("ctl, members, statuses", [
-    # one member overflows in the first stage of step 1, so that step is
-    # taken member by member; two lose resolution at steps 6 and 10 and
-    # two reach t_end at steps 26 and 24
+    # one member overflows in the first stage of step 1 and leaves, so
+    # the others take that step again; two lose resolution at steps 6
+    # and 10 and two reach t_end at steps 26 and 24
     (StepControl(t_end=0.6, resolution_tol=1e-8),
      [(0.2, CaseTag.CASE_I, 2.0), (1.0, CaseTag.CASE_I, 2.0),
       (1e160, CaseTag.CASE_I, 2.0), (0.2, CaseTag.CASE_II, 3.0),
       (0.1, CaseTag.CASE_II, 1.5)],
-     ["reached_t_end", "resolution_lost", "overflow", "resolution_lost",
+     ["reached_t_end", "resolution_lost", "overflow/0", "resolution_lost",
+      "reached_t_end"]),
+    # two overflows in step 1: 1e160 in stage 0, then, when the others
+    # take the step again, 1e120 in stage 1
+    (StepControl(t_end=0.6, resolution_tol=1e-8),
+     [(0.2, CaseTag.CASE_I, 2.0), (1e120, CaseTag.CASE_I, 2.0),
+      (1.0, CaseTag.CASE_I, 2.0), (1e160, CaseTag.CASE_I, 2.0),
+      (0.1, CaseTag.CASE_II, 1.5)],
+     ["reached_t_end", "overflow/1", "resolution_lost", "overflow/0",
       "reached_t_end"]),
     # dt pinned at its floor: only the member whose u_x passes the
     # threshold is detected
@@ -341,7 +359,7 @@ def _odd_u(g, amplitude, t0):
                  dt_max=0.05, framework=Framework.H2),
      [(1.0, CaseTag.CASE_I, 2.0), (0.01, CaseTag.CASE_I, 2.0)],
      ["blow_up_detected", "reached_t_end"]),
-], ids=["resolution_and_overflow", "detection"])
+], ids=["resolution_and_overflow", "two_overflow_stages", "detection"])
 def test_run_batch_members_match_their_single_runs(ctl, members, statuses):
     g = Grid(10.0, 256)
     diag = DiagSettings(every=2, char_stride=4, snapshot_every=5,
@@ -350,7 +368,9 @@ def test_run_batch_members_match_their_single_runs(ctl, members, statuses):
     states = [_odd_u(g, amp, 0.01 * i) for i, (amp, _, _) in enumerate(members)]
     params = [make_params(case, b) for _, case, b in members]
     trajs, reports = run_batch(states, params, ctl, g, diag)
-    assert [r.status.value for r in reports] == statuses
+    assert [r.status.value + ("" if r.overflow_stage is None
+                              else f"/{r.overflow_stage}")
+            for r in reports] == statuses
     for s0, p, traj, rep in zip(states, params, trajs, reports):
         assert_same_run((traj, rep), run(s0, p, ctl, g, diag))
 
