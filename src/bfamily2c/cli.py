@@ -336,7 +336,7 @@ def run_passed(manifest: dict) -> bool:
 class SlopeBound:
     """Wave-breaking upper bound 2/((k1-1) u0'(0)) against the run's end."""
 
-    applicable: bool  # 1 < k1 <= 3, k2 >= 0 and u0'(0) > 0
+    applicable: bool  # the hypotheses of initdata.blowup_bound hold
     u0_prime_at_zero: float
     bound: float | None
     t_detected: float | None
@@ -346,15 +346,21 @@ class SlopeBound:
 
 
 def slope_bound_payload(records: list[DiagRecord], p: ModelParams,
-                        report: RunReport) -> dict:
+                        cs: CheckSettings, report: RunReport) -> dict:
     """Wave-breaking upper bound vs. the detected time, when applicable.
+
+    Applicable on the data the bound covers: 1 < k1 <= 3, k2 >= 0,
+    u0'(0) > 0, a declared symmetry mode (odd u0, rho0 even or odd) and
+    |rho0(0)| <= origin_tol.
 
     A run stopped on lost resolution has no detection time (the stop is
     not blow-up detection); its stop time goes to t_resolution_lost,
     and stopped_before_bound compares that with the bound.
     """
     h0 = records[0].ux0
-    applicable = (1.0 < p.k1 <= 3.0) and p.k2 >= 0.0 and h0 > 0.0
+    applicable = ((1.0 < p.k1 <= 3.0) and p.k2 >= 0.0 and h0 > 0.0
+                  and cs.symmetry_mode is not None
+                  and abs(records[0].rho0) <= cs.origin_tol)
     bound = blowup_bound(p, h0) if applicable else None
     t_det = (report.blowup.t_detected if applicable
              and report.status is RunStatus.BLOW_UP_DETECTED else None)
@@ -498,7 +504,8 @@ def write_run(setup: RunSetup, out_dir: Path, traj: Trajectory,
         "version": __version__,
         "config": config_echo(setup),
         "report": _serial(report),
-        "slope_bound": slope_bound_payload(traj.records, setup.params, report),
+        "slope_bound": slope_bound_payload(traj.records, setup.params,
+                                           setup.checks, report),
         "checks": checks,
         "files": files,
         "n_records": len(traj.records),
@@ -689,8 +696,9 @@ def cmd_sweep(config_path: str) -> int:
     try:
         cfg = _load_json(config_path)
         sweep = _parse_section(SweepSettings, cfg, "sweep")
-        base_dir = Path(_section(cfg, "outputs", required=False)
-                        .get("directory", "sweep_out"))
+        outputs = _section(cfg, "outputs", required=False)
+        base_dir = Path(_take(dict(outputs), "outputs", "directory", str,
+                              "sweep_out"))
         combos = [(c, float(b), float(a)) for c in sweep.case
                   for b in sweep.b for a in sweep.amplitude]
         jobs = []
@@ -708,7 +716,7 @@ def cmd_sweep(config_path: str) -> int:
             sub["model"] = {"case": case, "b": b}
             sub["initial"] = json.loads(json.dumps(cfg["initial"]))
             sub["initial"]["u"]["amplitude"] = amp
-            sub["outputs"] = dict(cfg.get("outputs", {}))
+            sub["outputs"] = dict(outputs)
             sub["outputs"]["directory"] = str(base_dir / name)
             setup = parse_config(json.loads(json.dumps(sub)))
             if jobs:  # members share the grid section, so they hold one Grid

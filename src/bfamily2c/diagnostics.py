@@ -102,9 +102,9 @@ def _mirror(f: np.ndarray) -> np.ndarray:
     return np.roll(f[..., ::-1], 1, axis=-1)
 
 
-def symmetry_residual(s: State, mode: SymmetryMode, g: Grid) -> float | np.ndarray:
-    """max |u(x) + u(-x)|  +  max |rho(x) -/+ rho(-x)| per mode; a batch
-    state gives one residual per member."""
+def symmetry_residual(s: State, mode: SymmetryMode, g: Grid) -> np.ndarray:
+    """max |u(x) + u(-x)|  +  max |rho(x) -/+ rho(-x)| per mode, one
+    residual per member of s."""
     ru = np.max(np.abs(s.u + _mirror(s.u)), axis=-1)
     if mode is SymmetryMode.U_ODD_RHO_EVEN:
         rr = np.max(np.abs(s.rho - _mirror(s.rho)), axis=-1)
@@ -112,8 +112,7 @@ def symmetry_residual(s: State, mode: SymmetryMode, g: Grid) -> float | np.ndarr
         rr = np.max(np.abs(s.rho + _mirror(s.rho)), axis=-1)
     else:
         raise ValueError(f"unknown symmetry mode {mode!r}")
-    res = ru + rr
-    return float(res) if res.ndim == 0 else res
+    return ru + rr
 
 
 # the final state of an overflowing run is recorded as is: inf/nan
@@ -122,27 +121,24 @@ def symmetry_residual(s: State, mode: SymmetryMode, g: Grid) -> float | np.ndarr
 def make_record(
     s: State,
     dt: float | Sequence[float],
-    p: ModelParams | ParamStack,
+    p: ParamStack,
     g: Grid,
     step: int = 0,
     hs_order: float = 2.0,
     symmetry_mode: SymmetryMode | None = None,
     transport_res: float | Sequence[float] = math.nan,
     qx_min: float | Sequence[float] = math.nan,
-) -> DiagRecord | list[DiagRecord]:
-    """Evaluate all per-time diagnostics of one state.
+) -> list[DiagRecord]:
+    """Evaluate all per-time diagnostics of a batch: one record per
+    member of s (B, 2, N), with p the members' ParamStack.
 
-    Every spectral quantity comes from one rfft of the stack (u, rho)
-    and one irfft of the seven derived spectra, plus one forward and
-    one inverse transform for the nonlocal source at the origin.
-
-    A batch state (B, 2, N), with p a ParamStack, gives the list of its
-    members' records from the same four transforms; dt, transport_res
-    and qx_min may then be per member.  Each record is bit for bit the
-    one of its member alone.
+    Every spectral quantity comes from one rfft of the stack and one
+    irfft of the seven derived spectra, plus one forward and one inverse
+    transform for the nonlocal source at the origin.  dt, transport_res
+    and qx_min are one value for all members or one per member.  Each
+    record is bit for bit the one of its member alone.
     """
     d = g.deriv_mult
-    batch = s.y.ndim == 3
     u, rho = s.u, s.rho
     fh = np.fft.rfft(s.y)
     uh, rh = fh[..., 0, :], fh[..., 1, :]
@@ -151,9 +147,7 @@ def make_record(
         [uh * d[1], uh * d[2], uh * d[3], mh, mh * g.ik, rh * d[1], rh * d[2]]),
         n=g.N)
 
-    def I(f):  # Grid.integrate of each row
-        return g.dx * f.sum(axis=-1)
-
+    I = g.integrate
     # the fields broadcast against p's coefficients, the per-member
     # scalars against these flat ones
     k1, k2, k3 = np.ravel(p.k1), np.ravel(p.k2), np.ravel(p.k3)
@@ -201,10 +195,8 @@ def make_record(
         symmetry_res=sym,
         qx_min=qx_min,
     )
-    n = len(s.y) if batch else 1
-    rows = zip(*(_per_member(v, n) for v in columns.values()))
-    records = [DiagRecord(**dict(zip(columns, row))) for row in rows]
-    return records if batch else records[0]
+    rows = zip(*(_per_member(v, len(s.y)) for v in columns.values()))
+    return [DiagRecord(**dict(zip(columns, row))) for row in rows]
 
 
 def _per_member(v, n: int) -> list:

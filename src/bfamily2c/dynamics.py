@@ -39,12 +39,15 @@ from .spectral import Grid
 
 @dataclass(eq=False)
 class State:
-    """Time t plus the fields stacked as y = (u, rho), shape (2, N).
+    """Time t plus the fields stacked as y = (u, rho).
 
-    Every layer works on the stack: one transform takes both rows, and
-    one array expression advances or gates both fields.  u and rho are
-    read-only views of the rows y[0] and y[1].  A batch of members is
-    y of shape (B, 2, N) with t of shape (B,); u and rho are then (B, N).
+    One member's state is y (2, N) with a float t: what run and
+    run_batch take, what a snapshot holds and what choose_dt reads.  A
+    batch of members is y (B, 2, N) with t (B,): the only shape that
+    step_rk4 and make_record take.  Every layer works on the stack: one
+    transform takes all rows, and one array expression advances or
+    gates every field.  u and rho are read-only views of the rows
+    y[..., 0, :] and y[..., 1, :].
     """
 
     t: float | np.ndarray

@@ -70,10 +70,10 @@ class ParamStack:
     """The ModelParams of a batch of members, with k1, k2 and k3 as
     (B, 1) columns that broadcast against the members' rows (B, N).
 
-    eval_rhs and make_record read only k1, k2 and k3, so a ParamStack
-    stands in for one ModelParams there; `members` keeps each member's
-    own.  A stack of one holds them as floats: they broadcast to the
-    same values, without numpy's per-call cost for tiny arrays.
+    eval_rhs and make_record read only k1, k2 and k3; step_rk4 also
+    reads `members`, each member's own ModelParams.  A stack of one
+    holds the coefficients as floats: they broadcast to the same
+    values, without numpy's per-call cost for tiny arrays.
     """
 
     def __init__(self, members: Sequence[ModelParams]):

@@ -108,9 +108,10 @@ class Grid:
         """Index of the node x = 0 (grid is symmetric by construction)."""
         return self.N // 2
 
-    def integrate(self, f: np.ndarray) -> float:
-        """Trapezoid rule over the period (== rectangle rule here)."""
-        return self.dx * float(np.sum(f))
+    def integrate(self, f: np.ndarray) -> np.ndarray:
+        """Trapezoid rule over the period (== rectangle rule here) of
+        each row of f (..., N)."""
+        return self.dx * f.sum(axis=-1)
 
     # ------------------------------------------------------------------
     # Fourier multipliers
@@ -169,7 +170,7 @@ class Grid:
     # ------------------------------------------------------------------
     # norms and pointwise evaluation
 
-    def sobolev_norm_sq(self, f: np.ndarray, s: float) -> float:
+    def sobolev_norm_sq(self, f: np.ndarray, s: float) -> np.ndarray:
         """Discrete ||f||_{H^s}^2 = sum_n (1 + kappa_n^2)^s |fhat_n|^2.
 
         Normalized so s = 0 reproduces the trapezoid integral of f^2
@@ -177,30 +178,28 @@ class Grid:
         """
         return self.spectrum_norm_sq(np.fft.rfft(f), s)
 
-    def spectrum_norm_sq(self, fh: np.ndarray, s: float) -> float | np.ndarray:
-        """sobolev_norm_sq of the field whose rfft is fh; a stack of
-        spectra (..., N/2 + 1) gives the norm of each row."""
+    def spectrum_norm_sq(self, fh: np.ndarray, s: float) -> np.ndarray:
+        """sobolev_norm_sq of each row of the spectra fh (..., N/2 + 1)."""
         if not np.isfinite(s):
             raise ValueError("Sobolev index s must be finite")
         power = self.helm**s * np.abs(fh) ** 2
-        norm = 2.0 * self.L * _parseval_sum(power) / self.N**2
-        return float(norm) if np.ndim(fh) == 1 else norm
+        return 2.0 * self.L * _parseval_sum(power) / self.N**2
 
-    def tail_fraction(self, f: np.ndarray) -> float | np.ndarray:
-        """Share of the discrete energy of f held by modes N/6 < n <= N/3.
+    def tail_fraction(self, f: np.ndarray) -> np.ndarray:
+        """Share of the discrete energy of each row of f (..., N) held by
+        modes N/6 < n <= N/3.
 
         These are the upper half of the modes the 2/3 rule keeps.  While
         f is resolved its spectrum decays exponentially and the share
         sits at the roundoff floor; its rise measures the loss of
         resolution (Sulem, Sulem & Frisch, J. Comput. Phys. 50 (1983)
-        138).  A zero field has share 0.  A stack (..., N) gives the
-        share of each row, bit for bit the share of the row alone.
+        138).  A zero row has share 0.  Each row's share is bit for bit
+        the share of the row alone.
         """
         power = np.abs(np.fft.rfft(f)) ** 2
         total = _parseval_sum(power)
         tail = 2.0 * np.sum(power[..., self.N // 6 + 1 : self.n_keep], axis=-1)
-        share = tail / np.where(total == 0.0, 1.0, total)
-        return float(share) if np.ndim(f) == 1 else share
+        return tail / np.where(total == 0.0, 1.0, total)
 
     def interpolate(self, f: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Trigonometric evaluation of one field (N,) or a stack (F, N).

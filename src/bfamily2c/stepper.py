@@ -24,7 +24,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,11 +69,11 @@ class BlowupQuantity(Enum):
 class OverflowSignal(FloatingPointError):
     """Raised when an RK4 stage (or the combine) produced non-finite values.
 
-    t is the stage time, and rows marks the members that overflowed:
-    a (B,) mask for a batch, a 0-d one for a single state.
+    t is the members' stage times (B,), and rows the (B,) mask of the
+    members that overflowed.
     """
 
-    def __init__(self, stage_index: int, t: float | np.ndarray, rows: np.ndarray):
+    def __init__(self, stage_index: int, t: np.ndarray, rows: np.ndarray):
         super().__init__(f"overflow in RK4 stage {stage_index} at t={t}")
         self.stage_index = stage_index
         self.t = t
@@ -119,7 +119,6 @@ class StepControl:
 class DtChoice:
     dt: float
     collapsed: bool  # the unclamped value fell below dt_min
-    raw: float
 
 
 def choose_dt(s: State, p: ModelParams, ctl: StepControl, g: Grid,
@@ -134,10 +133,10 @@ def choose_dt(s: State, p: ModelParams, ctl: StepControl, g: Grid,
     raw = ctl.cfl * g.dx / max(1.0, (1.0 + abs(p.k3)) * umax)
     raw = min(raw, ctl.cfl / max(1.0, uxmax))
     dt = min(max(raw, ctl.dt_min), ctl.dt_max)
-    return DtChoice(dt=dt, collapsed=raw < ctl.dt_min, raw=raw)
+    return DtChoice(dt=dt, collapsed=raw < ctl.dt_min)
 
 
-def _stage_tendency(s: State, p: ModelParams, g: Grid, dealias: bool,
+def _stage_tendency(s: State, p: ParamStack, g: Grid, dealias: bool,
                     stage: int) -> Tendency:
     """eval_rhs of one RK4 stage; members whose tendency is not finite
     raise OverflowSignal(stage, s.t, rows)."""
@@ -152,23 +151,26 @@ def _rates(x: tuple, k: Tendency, members: Sequence[ModelParams], g: Grid) -> tu
     """The time derivative of the stage tuple x = (y, q_0, exponent_0,
     q_1, exponent_1, ...): the characteristics of member i ride its own
     rows of y and of the tendency's u_x."""
-    if len(x) == 1:
-        return (k.dy,)
-    u, ux = x[0][..., 0, :].reshape(-1, g.N), k.ux.reshape(-1, g.N)
     return (k.dy, *(r for i, q in enumerate(x[1::2])
-                    for r in characteristic_rates(u[i], ux[i], q, members[i], g)))
+                    for r in characteristic_rates(x[0][i, 0], k.ux[i], q,
+                                                  members[i], g)))
 
 
 def step_rk4(
     s: State,
-    dt: float | np.ndarray,
-    p: ModelParams | ParamStack,
+    dt: np.ndarray,
+    p: ParamStack,
     g: Grid,
     dealias: bool = True,
     k1: Tendency | None = None,
-    char: CharField | list[CharField] | None = None,
-) -> tuple[State, CharField | list[CharField] | None]:
-    """One classical RK4 step: the new state and the advanced char (or None).
+    char: list[CharField] | None = None,
+) -> tuple[State, list[CharField] | None]:
+    """One classical RK4 step of a batch in lockstep: the new state and
+    the advanced characteristics (or None).
+
+    s.y is (B, 2, N), s.t and dt are per member (B,), p is the members'
+    ParamStack and char, if given, the list of their CharFields.  Each
+    member's new rows are bit for bit those of its step alone.
 
     k1 is the stage-1 tendency of s when the caller has it (run_batch
     takes its u_x for the step size); otherwise it is evaluated here.  Stage
@@ -178,43 +180,35 @@ def step_rk4(
     A member whose stage tendency is not finite raises OverflowSignal
     with the stage index, and one whose y, q or exponent is not finite
     after the combine with index 4; the signal marks those members.
-
-    A batch steps in lockstep: s.y is (B, 2, N), s.t and dt are per
-    member (B,), p is a ParamStack and char, if given, a list of the
-    members' CharFields.  Each member's new rows are bit for bit those
-    of its step alone.
     """
-    batch = s.y.ndim == 3
-    dts = np.ravel(dt).tolist()
+    dts = dt.tolist()
     if not all(d > 0.0 for d in dts):
         raise ValueError(f"dt must be positive, got {dt}")
     t = s.t
-    members = p.members if batch else (p,)
-    chars = [] if char is None else list(char) if batch else [char]
+    chars = char or []
     # the stage tuple, and the step of each entry: y takes dt as a
     # (B, 1, 1) column, member i's characteristics its own dt
     x = (s.y, *(a for c in chars for a in (c.q, c.accumulated_integral)))
-    h = (np.reshape(dt, (-1, 1, 1)) if batch else dt,
+    h = (dt[:, None, None],
          *(d for c, d in zip(chars, dts) for _ in (c.q, c.accumulated_integral)))
     k = k1 if k1 is not None else _stage_tendency(s, p, g, dealias, 0)
-    rs = [_rates(x, k, members, g)]
+    rs = [_rates(x, k, p.members, g)]
     for stage, w in ((1, 0.5), (2, 0.5), (3, 1.0)):
         xi = tuple(xj + (w * hj) * rj for xj, hj, rj in zip(x, h, rs[-1]))
         k = _stage_tendency(State(t=t + w * dt, y=xi[0]), p, g, dealias, stage)
-        rs.append(_rates(xi, k, members, g))
+        rs.append(_rates(xi, k, p.members, g))
 
     x_new = tuple(xj + (hj / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
                   for xj, hj, (r1, r2, r3, r4) in zip(x, h, zip(*rs)))
     bad = ~np.isfinite(x_new[0]).all(axis=(-2, -1))
     if chars:
-        bad = bad | np.reshape([not (np.isfinite(q).all() and np.isfinite(a).all())
-                                for q, a in zip(x_new[1::2], x_new[2::2])], bad.shape)
+        bad |= [not (np.isfinite(q).all() and np.isfinite(a).all())
+                for q, a in zip(x_new[1::2], x_new[2::2])]
     if bad.any():
         raise OverflowSignal(4, t, bad)
     chars = [update_characteristics(c, d, q, a, mp, g) for c, d, q, a, mp
-             in zip(chars, dts, x_new[1::2], x_new[2::2], members)]
-    char_new = None if char is None else chars if batch else chars[0]
-    return State(t=t + dt, y=x_new[0]), char_new
+             in zip(chars, dts, x_new[1::2], x_new[2::2], p.members)]
+    return State(t=t + dt, y=x_new[0]), None if char is None else chars
 
 
 @dataclass(frozen=True)
@@ -295,7 +289,6 @@ def run_batch(
     ctl: StepControl,
     g: Grid,
     diag: DiagSettings | None = None,
-    hooks: Sequence[Callable[[int, State], None]] = (),
 ) -> tuple[list[Trajectory], list[RunReport]]:
     """Integrate members in lockstep, each until t_end, blow-up
     detection, lost resolution, or overflow.
@@ -308,8 +301,6 @@ def run_batch(
     report are those of run() on it alone.  The members that overflow
     in a stage of a step leave with that stage, and the others take
     the step again as one batch.
-    Each hook is called as hook(n_steps, state) for every member that
-    took the step.
 
     Detection: the branch-relevant gradient quantity (per
     classify_scenario under ctl.framework) exceeds
@@ -431,8 +422,6 @@ def run_batch(
                     "domain half-width at t=%.6g; transport residuals may "
                     "degrade", 100 * (1 - BOUNDARY_MARGIN), m.char.t)
                 m.warned_boundary = True
-            for hook in hooks:
-                hook(n_steps, State(t=ts[j], y=s.y[j]))
 
         if n_steps % diag.every == 0:
             record(live, s, dt.tolist(), n_steps)
@@ -479,10 +468,9 @@ def run(
     ctl: StepControl,
     g: Grid,
     diag: DiagSettings | None = None,
-    hooks: Sequence[Callable[[int, State], None]] = (),
 ) -> tuple[Trajectory, RunReport]:
     """Integrate s0 until t_end, blow-up detection, lost resolution, or
     overflow: run_batch of a batch of one, whose docstring says when
     each stop fires."""
-    (traj,), (report,) = run_batch([s0], [p], ctl, g, diag, hooks)
+    (traj,), (report,) = run_batch([s0], [p], ctl, g, diag)
     return traj, report

@@ -23,6 +23,17 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+def _batch_of_one(s: State) -> State:
+    """The state s (2, N) as the batch (1, 2, N) that step_rk4 and
+    make_record take, with t of shape (1,)."""
+    return State(t=np.array([s.t], dtype=float), y=s.y[None])
+
+
+@pytest.fixture(scope="session")
+def batch_of_one():
+    return _batch_of_one
+
+
 def _dense_interpolate(g: Grid, f: np.ndarray, points: np.ndarray) -> np.ndarray:
     """The direct M x N/2 trigonometric sum of one field at M points.
 

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 
 from bfamily2c import (RESOLUTION_TOL, CaseTag, DiagSettings, Grid, InitKind,
-                       InitSpec, RunStatus, State, StepControl, SymmetryMode,
-                       blowup_bound, conservation_check,
+                       InitSpec, ParamStack, RunStatus, State, StepControl,
+                       SymmetryMode, blowup_bound, conservation_check,
                        fill_identity_residuals, gronwall_check_h2,
                        make_params, make_record, profile, rho_sup_bound_check,
                        riccati_check, run, step_rk4)
@@ -58,26 +58,27 @@ def grid_breaking():
 
 
 def records_at_stride(states, stride, p, g):
-    """Diagnostics rows sampled every `stride` stored states."""
+    """Diagnostics rows sampled every `stride` stored batches of one."""
     recs = []
     prev_t = None
     for s in states[::stride]:
-        recs.append(make_record(s, 0.0 if prev_t is None else s.t - prev_t,
-                                p, g))
+        recs += make_record(s, 0.0 if prev_t is None else s.t - prev_t,
+                            ParamStack([p]), g)
         prev_t = s.t
     fill_identity_residuals(recs)
     return recs
 
 
 @pytest.fixture(scope="session")
-def identity_run(grid_smooth):
+def identity_run(grid_smooth, batch_of_one):
     """Smooth case-(i) b=2 run at fixed dt=1e-3 to t=0.3, all states kept."""
     g = grid_smooth
     p = make_params(CaseTag.CASE_I, 2.0)
-    s = State(0.0, np.stack([profile(GAUSS_U, g), profile(GAUSS_RHO, g)]))
+    s = batch_of_one(State(0.0, np.stack([profile(GAUSS_U, g),
+                                          profile(GAUSS_RHO, g)])))
     states = [s]
     for _ in range(300):
-        s, _ = step_rk4(s, 1e-3, p, g)
+        s, _ = step_rk4(s, np.array([1e-3]), ParamStack([p]), g)
         states.append(s)
     return p, g, states
 
@@ -242,15 +243,16 @@ def test_a01_inverse_helmholtz():
               clauses)
 
 
-def test_a02_rk4_self_convergence(grid_smooth):
+def test_a02_rk4_self_convergence(grid_smooth, batch_of_one):
     g = grid_smooth
     p = make_params(CaseTag.CASE_I, 2.0)
-    s0 = State(0.0, np.stack([profile(GAUSS_U, g), profile(GAUSS_RHO, g)]))
+    s0 = batch_of_one(State(0.0, np.stack([profile(GAUSS_U, g),
+                                           profile(GAUSS_RHO, g)])))
 
     def advance(dt):
         s = s0
         for _ in range(round(0.2 / dt)):
-            s, _ = step_rk4(s, dt, p, g)
+            s, _ = step_rk4(s, np.array([dt]), ParamStack([p]), g)
         return s.u
 
     ref = advance(5e-4)

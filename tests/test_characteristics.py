@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bfamily2c import (CaseTag, DiagSettings, Grid, InitKind, InitSpec,
-                       OverflowSignal, State, StepControl, build_initial,
-                       custom_params, init_characteristics, make_params,
-                       rho_sup_bound_check, run, step_rk4, transport_residual)
+                       OverflowSignal, ParamStack, State, StepControl,
+                       build_initial, custom_params, init_characteristics,
+                       make_params, rho_sup_bound_check, run, step_rk4,
+                       transport_residual)
 from bfamily2c import stepper
 
 
@@ -39,58 +40,66 @@ def test_init_evaluates_rho0_at_scaled_labels(grid20):
     assert np.max(np.abs(c.rho0_at_labels - expect)) < 1e-12
 
 
-def test_constant_velocity_translates_exactly(grid20, params_b2):
+def test_constant_velocity_translates_exactly(grid20, params_b2, batch_of_one):
     # u = const: dq/dt = c exactly, u_x = 0 so qx stays 1
     dt, c_val = 0.25, 0.75
     s = steady(grid20, c_val)
     c = init_characteristics(s.rho, params_b2, grid20, stride=8)
-    s_new, c = step_rk4(s, dt, params_b2, grid20, char=c)
+    s = batch_of_one(s)
+    s_new, (c,) = step_rk4(s, np.array([dt]), ParamStack([params_b2]), grid20,
+                           char=[c])
     assert np.array_equal(s_new.y, s.y)
     assert np.allclose(c.q, c.labels + c_val * dt, atol=1e-12)
     assert np.allclose(c.qx, 1.0, atol=1e-14)
     assert c.t == dt
 
 
-def test_zero_velocity_is_identity(grid20, params_b2):
+def test_zero_velocity_is_identity(grid20, params_b2, batch_of_one):
     dt = 0.3
     s = steady(grid20, 0.0)
     c = init_characteristics(s.rho, params_b2, grid20)
-    _, c = step_rk4(s, dt, params_b2, grid20, char=c)
+    _, (c,) = step_rk4(batch_of_one(s), np.array([dt]), ParamStack([params_b2]),
+                       grid20, char=[c])
     assert np.array_equal(c.q, c.labels)
     assert np.all(c.qx == 1.0)
     assert not c.near_boundary
 
 
-def test_near_boundary_flags_interior_drift(grid20, params_b2):
+def test_near_boundary_flags_interior_drift(grid20, params_b2, batch_of_one):
     # push interior characteristics past 95% of the half-width
     s = steady(grid20, 1.0)
     c = init_characteristics(s.rho, params_b2, grid20, stride=8)
+    s, ps = batch_of_one(s), ParamStack([params_b2])
     for _ in range(30):
-        s, c = step_rk4(s, 1.0, params_b2, grid20, char=c)
+        s, (c,) = step_rk4(s, np.array([1.0]), ps, grid20, char=[c])
     assert c.near_boundary
 
 
-def test_k3_zero_never_flags(grid20):
+def test_k3_zero_never_flags(grid20, batch_of_one):
     p = custom_params(2.0, 4.0, 0.0)
     s = steady(grid20, 1.0)
     c = init_characteristics(s.rho, p, grid20, stride=8)
+    s, ps = batch_of_one(s), ParamStack([p])
     for _ in range(30):
-        s, c = step_rk4(s, 1.0, p, grid20, char=c)
+        s, (c,) = step_rk4(s, np.array([1.0]), ps, grid20, char=[c])
     assert not c.near_boundary
 
 
-def test_non_finite_characteristic_update_is_an_overflow(grid20, params_b2):
+def test_non_finite_characteristic_update_is_an_overflow(grid20, params_b2,
+                                                         batch_of_one):
     # the one gate after the combine covers q and the exponent too
     s = steady(grid20, 1.0)
     c = init_characteristics(s.rho, params_b2, grid20, stride=8)
     c.accumulated_integral[3] = np.inf
     with pytest.raises(OverflowSignal) as exc:
-        step_rk4(s, 0.1, params_b2, grid20, char=c)
-    assert (exc.value.stage_index, exc.value.t) == (4, 0.0)
+        step_rk4(batch_of_one(s), np.array([0.1]), ParamStack([params_b2]), grid20,
+                 char=[c])
+    assert exc.value.stage_index == 4
+    assert exc.value.t.tolist() == [0.0] and exc.value.rows.tolist() == [True]
 
 
 def test_step_advances_characteristics_as_the_two_pass_reference(
-        monkeypatch, reference_advance):
+        monkeypatch, reference_advance, batch_of_one):
     # the characteristic ODE rides the PDE's stages; the old second RK4
     # pass over the recorded (t, u, u_x) stage triples must agree bit for
     # bit.  case_ii b = 2 has k3 = 2, so -k3 q of the outer labels wraps.
@@ -99,17 +108,19 @@ def test_step_advances_characteristics_as_the_two_pass_reference(
     s = build_initial(InitSpec(InitKind.GAUSSIAN),
                       InitSpec(InitKind.GAUSSIAN, amplitude=0.5), g)
     c = ref = init_characteristics(s.rho, p, g, stride=2)
+    s, ps = batch_of_one(s), ParamStack([p])
     stages, real = [], stepper.eval_rhs
 
     def spy(st, *args, **kwargs):
+        # the stage of the batch's one member
         k = real(st, *args, **kwargs)
-        stages.append((st.t, st.u, k.ux))
+        stages.append((st.t[0], st.u[0], k.ux[0]))
         return k
 
     monkeypatch.setattr(stepper, "eval_rhs", spy)
     for _ in range(20):
         stages.clear()
-        s, c = step_rk4(s, 2e-2, p, g, char=c)
+        s, (c,) = step_rk4(s, np.array([2e-2]), ps, g, char=[c])
         ref = reference_advance(ref, stages, p, g, 2e-2)
         assert c.t == ref.t
         assert np.array_equal(c.q, ref.q)

@@ -11,9 +11,10 @@ import pytest
 from bfamily2c import (CaseTag, Framework, InitKind, RunReport, RunStatus,
                        SymmetryMode, make_params)
 from bfamily2c import cli
-from bfamily2c.cli import (SWEEP_COLUMNS, ConfigError, config_echo, main,
-                           parse_config, read_records, slope_bound_payload,
-                           write_diagnostics_csv, write_extras_csv)
+from bfamily2c.cli import (SWEEP_COLUMNS, CheckSettings, ConfigError,
+                           config_echo, main, parse_config, read_records,
+                           slope_bound_payload, write_diagnostics_csv,
+                           write_extras_csv)
 from bfamily2c.diagnostics import DIAG_COLUMNS
 
 
@@ -437,6 +438,19 @@ def test_sweep_parses_each_member_once(tmp_path, monkeypatch, serial_pool):
     assert lines[16].startswith("case_ii,3,4,2,3,1,reached_t_end")
 
 
+def test_sweep_reads_outputs_directory_as_the_schema_says(tmp_path, monkeypatch,
+                                                          caplog, serial_pool):
+    # as in `run`, an explicit null is the default; another type is an error
+    monkeypatch.chdir(tmp_path)
+    cfg = sweep_config(tmp_path)
+    cfg["outputs"]["directory"] = None
+    assert main(["sweep", str(write_config(tmp_path, cfg))]) == 0
+    assert (tmp_path / "sweep_out" / "case_i_b2_a0p5" / "manifest.json").is_file()
+    cfg["outputs"]["directory"] = 3
+    assert main(["sweep", str(write_config(tmp_path, cfg))]) == 2
+    assert "field 'outputs.directory' must be a string" in caplog.text
+
+
 def assert_members_match_single_runs(tmp_path, cfg) -> tuple[int, dict]:
     """Sweep cfg, then `run` each member's echoed config: every file and
     manifest block is the same.  Returns the sweep's exit code and each
@@ -573,6 +587,7 @@ def test_manifest_layout_every_check_enabled(tmp_path):
                               "riccati": True, "h3_energy": True})
     cfg["control"]["t_end"] = 0.15
     cfg["initial"]["u"]["kind"] = "odd_gaussian"
+    cfg["initial"]["rho"]["kind"] = "even_bump_zero_at_origin"
     code, manifest, path = run_tiny(tmp_path, "on", cfg)
     checks = manifest["checks"]
     assert list(checks) == list(CHECK_KEYS)
@@ -617,14 +632,18 @@ def test_manifest_layout_every_check_disabled(tmp_path):
 # ----------------------------------------------------------------------
 # slope-breakdown payload
 
+# the data of the bound: odd u0 with u0'(0) = 1 and rho0(0) = 0
+ODD_U_CHECKS = CheckSettings(symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
+ODD_U_START = SimpleNamespace(ux0=1.0, rho0=0.0)
+
+
 @pytest.mark.parametrize("t_final, before", [(0.98, True), (2.5, False)])
 def test_slope_payload_reports_resolution_stop(t_final, before):
     # case_i b=2: k1 = 2, so the bound from u0'(0) = 1 is 2
     p = make_params(CaseTag.CASE_I, 2.0)
-    records = [SimpleNamespace(ux0=1.0)]
     report = RunReport(status=RunStatus.RESOLUTION_LOST, t_final=t_final,
                        n_steps=100)
-    payload = slope_bound_payload(records, p, report)
+    payload = slope_bound_payload([ODD_U_START], p, ODD_U_CHECKS, report)
     assert payload["bound"] == 2.0
     # a resolution stop is not a detection
     assert payload["t_detected"] is None and payload["respected"] is None
@@ -635,7 +654,25 @@ def test_slope_payload_reports_resolution_stop(t_final, before):
 def test_slope_payload_without_resolution_stop():
     p = make_params(CaseTag.CASE_I, 2.0)
     report = RunReport(status=RunStatus.REACHED_T_END, t_final=1.0, n_steps=9)
-    payload = slope_bound_payload([SimpleNamespace(ux0=1.0)], p, report)
+    payload = slope_bound_payload([ODD_U_START], p, ODD_U_CHECKS, report)
+    assert payload["applicable"] is True and payload["bound"] == 2.0
     assert payload["t_resolution_lost"] is None
     assert payload["stopped_before_bound"] is None
     assert "t_resolution_lost" not in SWEEP_COLUMNS
+
+
+@pytest.mark.parametrize("mode, rho0, applicable", [
+    (SymmetryMode.U_ODD_RHO_ODD, 0.0, True),
+    (SymmetryMode.U_ODD_RHO_EVEN, 1e-9, True),  # |rho0(0)| at origin_tol
+    # a Gaussian rho0 with rho0(0) = 0.5, as in the shipped sweep
+    (SymmetryMode.U_ODD_RHO_EVEN, 0.5, False),
+    # no parity declared, as in the shipped smooth run
+    (None, 0.0, False),
+])
+def test_slope_payload_needs_the_hypotheses_of_the_bound(mode, rho0, applicable):
+    p = make_params(CaseTag.CASE_I, 2.0)
+    report = RunReport(status=RunStatus.REACHED_T_END, t_final=1.0, n_steps=9)
+    payload = slope_bound_payload([SimpleNamespace(ux0=1.0, rho0=rho0)], p,
+                                  CheckSettings(symmetry_mode=mode), report)
+    assert payload["applicable"] is applicable
+    assert payload["bound"] == (2.0 if applicable else None)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import bfamily2c
-from bfamily2c import (Branch, CaseTag, DiagRecord, Grid, State, SymmetryMode,
-                       conservation_check, custom_params, gronwall_check_h2,
-                       h3_energy_check, make_params, make_record,
-                       riccati_check, symmetry_residual)
+from bfamily2c import (Branch, CaseTag, DiagRecord, Grid, ParamStack, State,
+                       SymmetryMode, conservation_check, custom_params,
+                       gronwall_check_h2, h3_energy_check, make_params,
+                       make_record, riccati_check, symmetry_residual)
 from bfamily2c.diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS,
                                    _centered_slope, fill_identity_residuals)
 from bfamily2c.stepper import step_rk4
@@ -63,31 +63,32 @@ def test_symmetry_residual_modes(grid20):
     # profiles are exactly odd on the discrete torus
     u[0] = 0.0
     rho_odd[0] = 0.0
-    s = State(0.0, np.stack([u, rho_even]))
-    assert symmetry_residual(s, SymmetryMode.U_ODD_RHO_EVEN, grid20) == 0.0
-    s = State(0.0, np.stack([u, rho_odd]))
-    assert symmetry_residual(s, SymmetryMode.U_ODD_RHO_ODD, grid20) == 0.0
-    # broken parity is seen at full magnitude
-    s = State(0.0, np.stack([u + 0.1, rho_even]))
-    assert symmetry_residual(s, SymmetryMode.U_ODD_RHO_EVEN, grid20) \
-        == pytest.approx(0.2, abs=1e-12)
+    # one residual per member; broken parity is seen at full magnitude
+    s = State(np.zeros(2), np.stack([[u, rho_even], [u + 0.1, rho_even]]))
+    res = symmetry_residual(s, SymmetryMode.U_ODD_RHO_EVEN, grid20)
+    assert res.shape == (2,) and res[0] == 0.0
+    assert res[1] == pytest.approx(0.2, abs=1e-12)
+    s = State(np.zeros(1), np.stack([[u, rho_odd]]))
+    assert symmetry_residual(s, SymmetryMode.U_ODD_RHO_ODD, grid20).tolist() == [0.0]
 
 
-def test_origin_checks_reads_node_values(grid20, params_b2):
+def test_origin_checks_reads_node_values(grid20, params_b2, batch_of_one):
     # the `origin` check reads these record fields
     u = grid20.x * np.exp(-grid20.x**2)
     rho = np.exp(-grid20.x**2)
-    oc = make_record(State(0.0, np.stack([u, rho])), 0.0, params_b2, grid20)
+    (oc,) = make_record(batch_of_one(State(0.0, np.stack([u, rho]))), 0.0,
+                        ParamStack([params_b2]), grid20)
     assert oc.u0 == 0.0
     assert oc.rho0 == 1.0
     assert abs(oc.uxx0) < 1e-12  # odd profile: even derivative vanishes at 0
 
 
-def test_energy_scalars_formulas(grid20, params_b2):
+def test_energy_scalars_formulas(grid20, params_b2, batch_of_one):
     # recompute every integral with raw numpy on the same spectral pieces
     u = np.exp(-grid20.x**2)
     rho = 0.5 * np.exp(-(grid20.x - 1.0) ** 2)
-    es = make_record(State(0.0, np.stack([u, rho])), 0.0, params_b2, grid20)
+    (es,) = make_record(batch_of_one(State(0.0, np.stack([u, rho]))), 0.0,
+                        ParamStack([params_b2]), grid20)
     ux = grid20.derivative(u, 1)
     uxxx = grid20.derivative(u, 3)
     m = grid20.helmholtz(u)
@@ -107,11 +108,11 @@ def test_energy_scalars_formulas(grid20, params_b2):
         + k3 * I(uxxx * (2 * rho * rhoxx - 3 * rhox**2)), rel=1e-12)
 
 
-def test_make_record_composite_fields(grid20, params_b2):
+def test_make_record_composite_fields(grid20, params_b2, batch_of_one):
     u = np.exp(-grid20.x**2)
     rho = 0.4 * np.exp(-grid20.x**2)
-    r = make_record(State(0.125, np.stack([u, rho])), 0.01, params_b2, grid20,
-                    step=7)
+    (r,) = make_record(batch_of_one(State(0.125, np.stack([u, rho]))), 0.01,
+                       ParamStack([params_b2]), grid20, step=7)
     # m_x from the spectrum of u, as the record takes it
     mx = np.fft.irfft(np.fft.rfft(u) * grid20.helm * grid20.ik, n=grid20.N)
     i_mx2 = grid20.integrate(mx**2)
@@ -128,19 +129,19 @@ def test_conv0_nonnegative_for_admissible_coefficients(grid20, rng):
     # k1 <= 3, k2 >= 0 make the nonlocal source pointwise >= 0, and the
     # Green kernel is positive, so the origin value cannot be negative
     p = make_params(CaseTag.CASE_I, 2.0)
-    for _ in range(5):
-        u = grid20.dealias(rng.standard_normal(grid20.N))
-        rho = grid20.dealias(rng.standard_normal(grid20.N))
-        r = make_record(State(0.0, np.stack([u, rho])), 0.0, p, grid20)
+    y = grid20.dealias(rng.standard_normal((5, 2, grid20.N)))
+    for r in make_record(State(np.zeros(5), y), 0.0, ParamStack([p] * 5), grid20):
         assert r.conv0 > -1e-12
 
 
-def test_fill_matches_direct_identity_residuals(grid20, params_b2):
-    s0 = State(0.0, np.stack([np.exp(-grid20.x**2),
-                              0.5 * np.exp(-grid20.x**2)]))
-    s1, _ = step_rk4(s0, 1e-2, params_b2, grid20)
-    s2, _ = step_rk4(s1, 1e-2, params_b2, grid20)
-    recs = [make_record(s, 1e-2, params_b2, grid20) for s in (s0, s1, s2)]
+def test_fill_matches_direct_identity_residuals(grid20, params_b2,
+                                                batch_of_one):
+    s0 = batch_of_one(State(0.0, np.stack([np.exp(-grid20.x**2),
+                                           0.5 * np.exp(-grid20.x**2)])))
+    ps, dt = ParamStack([params_b2]), np.array([1e-2])
+    s1, _ = step_rk4(s0, dt, ps, grid20)
+    s2, _ = step_rk4(s1, dt, ps, grid20)
+    recs = [r for s in (s0, s1, s2) for r in make_record(s, 1e-2, ps, grid20)]
     fill_identity_residuals(recs)
     ts = [r.t for r in recs]
     for name in ("m2", "rho2", "rhox2", "rhoxx2"):
@@ -286,9 +287,10 @@ def test_record_matches_per_quantity_reference(N, rng, reference_record):
     states = [State(0.25, np.stack([g.x / 2 * np.exp(-g.x**2 / 4),
                                     0.5 * np.exp(-g.x**2 / 4)])),
               State(0.5, rng.standard_normal((2, N)))]
-    for s in states:
-        got = make_record(s, 0.01, p, g, step=3, hs_order=2.5,
+    batch = State(np.array([s.t for s in states]), np.stack([s.y for s in states]))
+    records = make_record(batch, 0.01, ParamStack([p] * 2), g, step=3, hs_order=2.5,
                           symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
+    for s, got in zip(states, records):
         want = reference_record(s, 0.01, p, g, step=3, hs_order=2.5,
                                 symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
         for f in dataclasses.fields(DiagRecord):

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bfamily2c import (CaseTag, Grid, Kernel, OverflowSignal, State,
-                       custom_params, eval_rhs, make_params, step_rk4)
+from bfamily2c import (CaseTag, Grid, Kernel, OverflowSignal, ParamStack,
+                       State, custom_params, eval_rhs, make_params, step_rk4)
 
 
 def mirror(f: np.ndarray) -> np.ndarray:
@@ -76,7 +76,7 @@ def test_k3_scales_drho(grid20):
     assert np.allclose(t2.dy[1], -2.0 * t1.dy[1], atol=1e-14)
 
 
-def test_nonfinite_state_raises(grid20, params_b2):
+def test_nonfinite_state_raises(grid20, params_b2, batch_of_one):
     # eval_rhs hands an overflowed row on as computed and without a
     # RuntimeWarning; the stepper's stage gate names it
     u = np.full(grid20.N, 1e300)  # u*u overflows to inf
@@ -86,8 +86,8 @@ def test_nonfinite_state_raises(grid20, params_b2):
         dy = eval_rhs(s, params_b2, grid20).dy
     assert not np.isfinite(dy).all()
     with pytest.raises(OverflowSignal) as exc:
-        step_rk4(s, 1e-3, params_b2, grid20)
-    assert exc.value.stage_index == 0 and exc.value.rows
+        step_rk4(batch_of_one(s), np.array([1e-3]), ParamStack([params_b2]), grid20)
+    assert exc.value.stage_index == 0 and exc.value.rows.tolist() == [True]
 
 
 def _oracle_states(g, rng):

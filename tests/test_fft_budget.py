@@ -51,9 +51,10 @@ def test_eval_rhs_takes_seven_transforms(grid20, params_b2, fft_calls):
     assert rows == {"rfft": 4, "irfft": 3}
 
 
-def test_record_takes_eleven_transforms(grid20, params_b2, fft_calls):
+def test_record_takes_eleven_transforms(grid20, params_b2, fft_calls,
+                                        batch_of_one):
     calls, rows, _ = fft_calls
-    make_record(_state(grid20), 0.0, params_b2, grid20)
+    make_record(batch_of_one(_state(grid20)), 0.0, ParamStack([params_b2]), grid20)
     # the stack (u, rho) forward, the seven derived fields inverse, and
     # the Helmholtz solve of the source for conv0
     assert calls == {"rfft": 2, "irfft": 2}

@@ -65,13 +65,13 @@ def mms_errors():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(stepper, "eval_rhs", forced)
         for cfl in CFLS:
-            last = []
-            _, rep = run(State(0.0, exact(0.0)), p,
-                         StepControl(t_end=T_END, cfl=cfl), g,
-                         diag=DiagSettings(every=10**9, char_stride=0),
-                         hooks=[lambda n, s: last.append(s)])
-            s = last[-1]
-            assert rep.t_final == s.t == T_END
+            # the final state is the run's last snapshot
+            traj, rep = run(State(0.0, exact(0.0)), p,
+                            StepControl(t_end=T_END, cfl=cfl), g,
+                            diag=DiagSettings(every=10**9, char_stride=0,
+                                              snapshot_every=10**9))
+            n, s = traj.snapshots[-1]
+            assert n == rep.n_steps and rep.t_final == s.t == T_END
             errors.append(float(np.max(np.abs(s.y - exact(T_END)))))
             drifts.append(abs(g.integrate(s.rho) - g.integrate(exact(0.0)[1])))
     return errors, drifts, g
