@@ -699,6 +699,8 @@ def cmd_sweep(config_path: str) -> int:
         outputs = _section(cfg, "outputs", required=False)
         base_dir = Path(_take(dict(outputs), "outputs", "directory", str,
                               "sweep_out"))
+        initial = _section(cfg, "initial")
+        spec_u = _take(dict(initial), "initial", "u", dict)
         combos = [(c, float(b), float(a)) for c in sweep.case
                   for b in sweep.b for a in sweep.amplitude]
         jobs = []
@@ -711,18 +713,15 @@ def cmd_sweep(config_path: str) -> int:
                 raise ConfigError(f"sweep members {names[name]} and {member} "
                                   f"share the directory '{name}'")
             names[name] = member
-            sub = dict(cfg)
-            sub.pop("sweep", None)
-            sub["model"] = {"case": case, "b": b}
-            sub["initial"] = json.loads(json.dumps(cfg["initial"]))
-            sub["initial"]["u"]["amplitude"] = amp
-            sub["outputs"] = dict(outputs)
-            sub["outputs"]["directory"] = str(base_dir / name)
+            sub = dict(cfg, model={"case": case, "b": b},
+                       initial=dict(initial, u=dict(spec_u, amplitude=amp)),
+                       outputs=dict(outputs, directory=str(base_dir / name)))
+            del sub["sweep"]
             setup = parse_config(json.loads(json.dumps(sub)))
             if jobs:  # members share the grid section, so they hold one Grid
                 setup.grid = jobs[0][3].grid
             jobs.append((case, b, amp, setup))
-    except (ConfigError, KeyError, TypeError) as exc:
+    except ConfigError as exc:
         logger.error("config error: %s", exc)
         return EXIT_CONFIG
     except OSError as exc:

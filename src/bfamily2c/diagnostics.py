@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import State
+from .dynamics import State, Tendency
 from .model import (Branch, Framework, ModelParams, ParamStack,
                     classify_scenario)
 from .spectral import Grid
@@ -120,6 +120,7 @@ def symmetry_residual(s: State, mode: SymmetryMode, g: Grid) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def make_record(
     s: State,
+    k: Tendency,
     dt: float | Sequence[float],
     p: ParamStack,
     g: Grid,
@@ -130,21 +131,24 @@ def make_record(
     qx_min: float | Sequence[float] = math.nan,
 ) -> list[DiagRecord]:
     """Evaluate all per-time diagnostics of a batch: one record per
-    member of s (B, 2, N), with p the members' ParamStack.
+    member of s (B, 2, N), with p the members' ParamStack and k the
+    evaluation of s with with_rho=True.
 
-    Every spectral quantity comes from one rfft of the stack and one
-    irfft of the seven derived spectra, plus one forward and one inverse
-    transform for the nonlocal source at the origin.  dt, transport_res
+    u_x is the tendency's, and the other spectral quantities come from
+    its spectra: one irfft of seven rows (u_xx, u_xxx, m, m_x, rho_x,
+    rho_xx, and source / (1 + kappa^2) for conv0).  dt, transport_res
     and qx_min are one value for all members or one per member.  Each
     record is bit for bit the one of its member alone.
     """
     d = g.deriv_mult
-    u, rho = s.u, s.rho
-    fh = np.fft.rfft(s.y)
-    uh, rh = fh[..., 0, :], fh[..., 1, :]
+    u, rho, ux = s.u, s.rho, k.ux
+    uh, rh = k.yh[..., 0, :], k.yh[..., 1, :]
     mh = uh * g.helm
-    ux, uxx, uxxx, m, mx, rhox, rhoxx = np.fft.irfft(np.stack(
-        [uh * d[1], uh * d[2], uh * d[3], mh, mh * g.ik, rh * d[1], rh * d[2]]),
+    # conv: (1 - dx^2)^{-1} of eval_rhs's nonlocal source, whose products
+    # are left un-dealiased so its integrand is pointwise >= 0 whenever
+    # k1 <= 3 and k2 >= 0
+    uxx, uxxx, m, mx, rhox, rhoxx, conv = np.fft.irfft(np.stack(
+        [uh * d[2], uh * d[3], mh, mh * g.ik, rh * d[1], rh * d[2], k.sh / g.helm]),
         n=g.N)
 
     I = g.integrate
@@ -154,12 +158,6 @@ def make_record(
     i_m2, i_mx2, i_rho2 = I(m**2), I(mx**2), I(rho**2)
     i_rhox2, i_rhoxx2 = I(rhox**2), I(rhoxx**2)
     j0 = g.origin_index
-    # p * [(k1/2)u^2 + ((3-k1)/2)u_x^2 + (k2/2)rho^2] at the origin;
-    # products left un-dealiased so the integrand is pointwise >= 0
-    # whenever k1 <= 3 and k2 >= 0.
-    source = (0.5 * p.k1) * u**2 + (0.5 * (3.0 - p.k1)) * ux**2 \
-        + (0.5 * p.k2) * rho**2
-    conv0 = g.helmholtz_inv(source)[..., j0]
     sym = math.nan if symmetry_mode is None else symmetry_residual(s, symmetry_mode, g)
     columns = dict(
         step=step,
@@ -180,7 +178,7 @@ def make_record(
         ux0=ux[..., j0],
         uxx0=uxx[..., j0],
         rho0=rho[..., j0],
-        conv0=conv0,
+        conv0=conv[..., j0],
         i_m2=i_m2,
         i_rho2=i_rho2,
         i_rhox2=i_rhox2,

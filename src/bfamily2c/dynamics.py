@@ -21,6 +21,9 @@ tendencies one truncation and one inverse transform:
 
     rfft u -> irfft u_x;  rfft (u u_x, source, u rho);  irfft (du, drho).
 
+An accepted state's evaluation (with_rho=True) takes rfft (u, rho) first,
+and the stepper and the diagnostic record read the spectra it keeps.
+
 numpy transforms each row of a stack bit for bit as it would the row
 alone, so stacking changes no output bit: neither the stacking of
 fields nor that of a batch of members (B, 2, N), whose coefficients
@@ -64,16 +67,25 @@ class State:
 
 @dataclass(eq=False)
 class Tendency:
-    """Time derivative dy of the stack (u, rho), and the u_x of the evaluated state."""
+    """Time derivative dy of the stack (u, rho) and what eval_rhs formed on
+    the way: the state's u_x, the spectrum yh (..., R, N/2 + 1) of the
+    rows it transformed (R = 2, u and rho, with with_rho=True; else 1)
+    and the un-dealiased spectrum sh of the nonlocal source."""
 
     dy: np.ndarray
     ux: np.ndarray
+    yh: np.ndarray
+    sh: np.ndarray
+
+    def rows(self, j) -> Tendency:
+        """The tendency of the members j (an index list) of a batch."""
+        return Tendency(dy=self.dy[j], ux=self.ux[j], yh=self.yh[j], sh=self.sh[j])
 
 
 # overflow is reported by the stepper's per-member gate, not by numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def eval_rhs(s: State, p: ModelParams | ParamStack, g: Grid,
-             dealias: bool = True) -> Tendency:
+             dealias: bool = True, with_rho: bool = False) -> Tendency:
     """Evaluate the nonlocal-form tendency of (u, rho), or of a batch
     (B, 2, N) whose coefficients p holds as (B, 1) columns.
 
@@ -81,13 +93,15 @@ def eval_rhs(s: State, p: ModelParams | ParamStack, g: Grid,
     mode above N/3 of each tendency is dropped before the inverse
     transform (the 2/3 rule), which removes the aliasing error of the
     quadratic terms.  u_x is the spectral derivative exactly as
-    Grid.derivative computes it.  A state that overflows gives a
-    non-finite dy, returned as computed and without a warning: the
-    stepper gates each member's rows (see step_rk4).
+    Grid.derivative computes it.  with_rho=True adds rho to the first
+    transform, which changes no bit of dy or u_x.  A state that
+    overflows gives a non-finite dy, returned as computed and without a
+    warning: the stepper gates each member's rows.
     """
     u, rho = s.u, s.rho
     rfft, irfft = np.fft.rfft, np.fft.irfft
-    ux = irfft(rfft(u) * g.ik, n=g.N)
+    yh = rfft(s.y if with_rho else s.y[..., :1, :])
+    ux = irfft(yh[..., 0, :] * g.ik, n=g.N)
     source = (0.5 * p.k1) * (u * u) + (0.5 * (3.0 - p.k1)) * (ux * ux) \
         + (0.5 * p.k2) * (rho * rho)
     ph = rfft(np.stack([u * ux, source, u * rho], axis=-2))
@@ -95,4 +109,4 @@ def eval_rhs(s: State, p: ModelParams | ParamStack, g: Grid,
                      (p.k3 * g.ik) * ph[..., 2, :]], axis=-2)
     if dealias:
         dy_h[..., g.n_keep:] = 0.0
-    return Tendency(dy=irfft(dy_h, n=g.N), ux=ux)
+    return Tendency(dy=irfft(dy_h, n=g.N), ux=ux, yh=yh, sh=ph[..., 1, :])

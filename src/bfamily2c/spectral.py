@@ -185,18 +185,18 @@ class Grid:
         power = self.helm**s * np.abs(fh) ** 2
         return 2.0 * self.L * _parseval_sum(power) / self.N**2
 
-    def tail_fraction(self, f: np.ndarray) -> np.ndarray:
-        """Share of the discrete energy of each row of f (..., N) held by
-        modes N/6 < n <= N/3.
+    def tail_fraction(self, fh: np.ndarray) -> np.ndarray:
+        """Share of the discrete energy of each row of the spectra fh
+        (..., N/2 + 1) held by modes N/6 < n <= N/3.
 
         These are the upper half of the modes the 2/3 rule keeps.  While
-        f is resolved its spectrum decays exponentially and the share
-        sits at the roundoff floor; its rise measures the loss of
+        a field is resolved its spectrum decays exponentially and the
+        share sits at the roundoff floor; its rise measures the loss of
         resolution (Sulem, Sulem & Frisch, J. Comput. Phys. 50 (1983)
         138).  A zero row has share 0.  Each row's share is bit for bit
         the share of the row alone.
         """
-        power = np.abs(np.fft.rfft(f)) ** 2
+        power = np.abs(fh) ** 2
         total = _parseval_sum(power)
         tail = 2.0 * np.sum(power[..., self.N // 6 + 1 : self.n_keep], axis=-1)
         return tail / np.where(total == 0.0, 1.0, total)

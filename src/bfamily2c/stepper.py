@@ -126,7 +126,7 @@ def choose_dt(s: State, p: ModelParams, ctl: StepControl, g: Grid,
     """CFL-limited step:  dt = cfl dx / max(1, (1+|k3|) ||u||_inf),
     additionally capped by cfl / max(1, ||u_x||_inf) so per-step
     gradient growth stays bounded, then clamped to [dt_min, dt_max].
-    ux is the u_x of s (run() passes the one its stage 1 computed).
+    ux is the u_x of s (run_batch passes its evaluation's).
     """
     umax = float(np.max(np.abs(s.u)))
     uxmax = float(np.max(np.abs(ux)))
@@ -136,15 +136,9 @@ def choose_dt(s: State, p: ModelParams, ctl: StepControl, g: Grid,
     return DtChoice(dt=dt, collapsed=raw < ctl.dt_min)
 
 
-def _stage_tendency(s: State, p: ParamStack, g: Grid, dealias: bool,
-                    stage: int) -> Tendency:
-    """eval_rhs of one RK4 stage; members whose tendency is not finite
-    raise OverflowSignal(stage, s.t, rows)."""
-    k = eval_rhs(s, p, g, dealias=dealias)
-    bad = ~np.isfinite(k.dy).all(axis=(-2, -1))
-    if bad.any():
-        raise OverflowSignal(stage, s.t, bad)
-    return k
+def _nonfinite(y: np.ndarray) -> np.ndarray:
+    """The (B,) mask of the members whose rows of y (B, 2, N) are not finite."""
+    return ~np.isfinite(y).all(axis=(-2, -1))
 
 
 def _rates(x: tuple, k: Tendency, members: Sequence[ModelParams], g: Grid) -> tuple:
@@ -156,30 +150,24 @@ def _rates(x: tuple, k: Tendency, members: Sequence[ModelParams], g: Grid) -> tu
                                                   members[i], g)))
 
 
-def step_rk4(
-    s: State,
-    dt: np.ndarray,
-    p: ParamStack,
-    g: Grid,
-    dealias: bool = True,
-    k1: Tendency | None = None,
-    char: list[CharField] | None = None,
-) -> tuple[State, list[CharField] | None]:
+def step_rk4(s: State, k1: Tendency, dt: np.ndarray, p: ParamStack, g: Grid,
+             dealias: bool = True, char: list[CharField] | None = None
+             ) -> tuple[State, list[CharField] | None]:
     """One classical RK4 step of a batch in lockstep: the new state and
     the advanced characteristics (or None).
 
-    s.y is (B, 2, N), s.t and dt are per member (B,), p is the members'
-    ParamStack and char, if given, the list of their CharFields.  Each
-    member's new rows are bit for bit those of its step alone.
+    s.y is (B, 2, N), k1 its tendency (stage 1), s.t and dt are per
+    member (B,), p is the members' ParamStack and char, if given, the
+    list of their CharFields.  Each member's new rows are bit for bit
+    those of its step alone.
 
-    k1 is the stage-1 tendency of s when the caller has it (run_batch
-    takes its u_x for the step size); otherwise it is evaluated here.  Stage
-    i is evaluated at t + w_i dt.  Given char, the stages advance the
-    tuple (y, q, accumulated_integral) in one tableau; the
+    Stage i is evaluated at t + w_i dt.  Given char, the stages advance
+    the tuple (y, q, accumulated_integral) in one tableau; the
     characteristic rates take the u_x each stage's tendency computed.
-    A member whose stage tendency is not finite raises OverflowSignal
-    with the stage index, and one whose y, q or exponent is not finite
-    after the combine with index 4; the signal marks those members.
+    A member whose tendency in stage 1, 2 or 3 is not finite raises
+    OverflowSignal with the stage index, and one whose y, q or exponent
+    is not finite after the combine with index 4; the signal marks
+    those members.  k1 is the caller's to gate (stage 0).
     """
     dts = dt.tolist()
     if not all(d > 0.0 for d in dts):
@@ -191,16 +179,18 @@ def step_rk4(
     x = (s.y, *(a for c in chars for a in (c.q, c.accumulated_integral)))
     h = (dt[:, None, None],
          *(d for c, d in zip(chars, dts) for _ in (c.q, c.accumulated_integral)))
-    k = k1 if k1 is not None else _stage_tendency(s, p, g, dealias, 0)
-    rs = [_rates(x, k, p.members, g)]
+    rs = [_rates(x, k1, p.members, g)]
     for stage, w in ((1, 0.5), (2, 0.5), (3, 1.0)):
         xi = tuple(xj + (w * hj) * rj for xj, hj, rj in zip(x, h, rs[-1]))
-        k = _stage_tendency(State(t=t + w * dt, y=xi[0]), p, g, dealias, stage)
+        ti = t + w * dt
+        k = eval_rhs(State(t=ti, y=xi[0]), p, g, dealias=dealias)
+        if (bad := _nonfinite(k.dy)).any():
+            raise OverflowSignal(stage, ti, bad)
         rs.append(_rates(xi, k, p.members, g))
 
     x_new = tuple(xj + (hj / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
                   for xj, hj, (r1, r2, r3, r4) in zip(x, h, zip(*rs)))
-    bad = ~np.isfinite(x_new[0]).all(axis=(-2, -1))
+    bad = _nonfinite(x_new[0])
     if chars:
         bad |= [not (np.isfinite(q).all() and np.isfinite(a).all())
                 for q, a in zip(x_new[1::2], x_new[2::2])]
@@ -246,13 +236,8 @@ class Trajectory:
     char: CharField | None = None
 
 
-def _detection_candidates(
-    branch: Branch,
-    rho_x_relevant: bool,
-    ux: np.ndarray,
-    rhox: np.ndarray,
-    threshold: float,
-):
+def _detection_candidates(branch: Branch, rho_x_relevant: bool, ux: np.ndarray,
+                          rhox: np.ndarray, threshold: float):
     """(quantity, signed value, node index) for each watched gradient over threshold."""
     hits = []
     if branch in (Branch.NEG_INF_UX, Branch.TWO_SIDED_UX):
@@ -272,14 +257,12 @@ def _detection_candidates(
 
 @dataclass
 class _Member:
-    """A member of run_batch: its parameters, trajectory and, once it
-    has stopped, its report."""
+    """A member of run_batch: its parameters, trajectory (with its
+    characteristics) and, once it has stopped, its report."""
 
     p: ModelParams
     traj: Trajectory
-    char: CharField | None
     report: RunReport | None = None
-    last_recorded: int = -1
     warned_boundary: bool = False
 
 
@@ -315,10 +298,11 @@ def run_batch(
     u steepens.  Detection on the same step takes precedence.  Either
     way the stopping state is the final record.
 
-    Each accepted state is evaluated once: its stage-1 tendency gives
-    choose_dt the u_x and is stage 1 of the next step, and an overflow
-    there ends the run with overflow_stage 0.  The watched slopes are
-    differentiated only after a step that collapsed short of t_end.
+    Each accepted state is evaluated once, with rho, after the combine
+    (the initial state before the loop): its Tendency gives choose_dt
+    the u_x, is stage 1 of the next step and feeds detection, the
+    resolution stop and the record.  A member whose evaluation
+    overflows ends with overflow_stage 0 unless another stop ends it.
 
     Identical inputs produce bit-identical trajectories on one
     platform.
@@ -327,104 +311,109 @@ def run_batch(
         raise ValueError("need one ModelParams per state, and at least one state")
     diag = diag or DiagSettings()
     scenarios = [classify_scenario(p, ctl.framework) for p in params]
-    members = [_Member(p, Trajectory(),
-                       init_characteristics(s0.rho, p, g, diag.char_stride)
-                       if diag.char_stride > 0 else None)
+    members = [_Member(p, Trajectory(char=init_characteristics(s0.rho, p, g,
+                                                               diag.char_stride)
+                                     if diag.char_stride > 0 else None))
                for s0, p in zip(states, params)]
     live = list(range(len(members)))  # the member of each row of s
     s = State(t=np.array([s0.t for s0 in states], dtype=float),
               y=np.stack([s0.y for s0 in states]))
     ps = ParamStack(params)
     n_steps = 0
+    t_eps = 1e-12 * max(1.0, ctl.t_end)
 
-    def record(idx: list[int], rows: State, dt, step: int) -> None:
-        """One make_record of the members idx, whose states rows stacks."""
+    def record(idx: list[int], rows: State, rk: Tendency, dt, step: int) -> None:
+        """One make_record of the members idx: their states rows, evaluated by rk."""
         tres, qxmin = [], []
         for i, t, y in zip(idx, rows.t.tolist(), rows.y):
-            c = members[i].char
+            c = members[i].traj.char
             tres.append(math.nan if c is None
                         else transport_residual(State(t=t, y=y), c, members[i].p, g))
             qxmin.append(math.nan if c is None else float(np.min(c.qx)))
-        recs = make_record(rows, dt, ParamStack([members[i].p for i in idx]), g,
+        recs = make_record(rows, rk, dt, ParamStack([members[i].p for i in idx]), g,
                            step=step, hs_order=diag.hs_order,
                            symmetry_mode=diag.symmetry_mode,
                            transport_res=tres, qx_min=qxmin)
         for i, rec in zip(idx, recs):
             members[i].traj.records.append(rec)
-            members[i].last_recorded = step
 
     def snapshot(idx: list[int], rows: State, step: int) -> None:
         for i, t, y in zip(idx, rows.t.tolist(), rows.y):
             members[i].traj.snapshots.append((step, State(t=t, y=y.copy())))
 
+    def ended(stops: dict) -> dict:
+        """stops, then the members at t_end, then those whose k overflowed."""
+        for j, t in enumerate(s.t.tolist()):
+            if ctl.t_end - t <= t_eps:
+                stops.setdefault(j, (RunStatus.REACHED_T_END, None, None))
+        for j in np.flatnonzero(_nonfinite(k.dy)).tolist():
+            stops.setdefault(j, (RunStatus.OVERFLOW, None, 0))
+        return stops
+
     def leave(stops: dict, step: int) -> None:
         """End the members of the rows j in stops at those rows of s,
         after `step` steps, and drop the rows from the batch;
         stops[j] = (status, blowup, overflow_stage)."""
-        nonlocal s, live, ps
-        final = [j for j in stops if members[live[j]].last_recorded != step]
+        nonlocal s, k, live, ps
+        final = [j for j in stops if members[live[j]].traj.records[-1].step != step]
         if final:
             # final row: dt column holds the time elapsed since the previous record
             sub = State(t=s.t[final], y=s.y[final])
             idx = [live[j] for j in final]
-            record(idx, sub, [t - members[i].traj.records[-1].t
-                              for i, t in zip(idx, sub.t.tolist())], step)
+            record(idx, sub, k.rows(final), [t - members[i].traj.records[-1].t
+                                             for i, t in zip(idx, sub.t.tolist())], step)
         for j, (status, blowup, stage) in stops.items():
             m = members[live[j]]
+            if status is RunStatus.OVERFLOW:
+                logger.warning("overflow at t=%.6g (stage %d); terminating run",
+                               s.t[j], stage)
             if diag.snapshot_every > 0 and m.traj.snapshots[-1][0] != step:
                 snapshot([live[j]], State(t=s.t[j:j + 1], y=s.y[j:j + 1]), step)
             m.report = RunReport(status=status, t_final=float(s.t[j]),
                                  n_steps=step, blowup=blowup, overflow_stage=stage)
         rest = [j for j in range(len(live)) if j not in stops]
-        s = State(t=s.t[rest], y=s.y[rest])
+        s, k = State(t=s.t[rest], y=s.y[rest]), k.rows(rest)
         live = [live[j] for j in rest]
         ps = ParamStack([members[i].p for i in live])
 
-    record(live, s, 0.0, 0)
+    k = eval_rhs(s, ps, g, dealias=ctl.dealias, with_rho=True)
+    record(live, s, k, 0.0, 0)
     if diag.snapshot_every > 0:
         snapshot(live, s, 0)
 
-    t_eps = 1e-12 * max(1.0, ctl.t_end)
-    stops = {j: (RunStatus.REACHED_T_END, None, None)
-             for j, t in enumerate(s.t.tolist()) if ctl.t_end - t <= t_eps}
+    stops = ended({})
     while True:
         if stops:
             leave(stops, n_steps)
         if not live:
             break
-        chars = [members[i].char for i in live] if diag.char_stride > 0 else None
+        chars = [members[i].traj.char for i in live] if diag.char_stride > 0 else None
+        choices = [choose_dt(State(t=t, y=y), q, ctl, g, ux)
+                   for t, y, q, ux in zip(s.t.tolist(), s.y, ps.members, k.ux)]
+        dt = np.minimum([c.dt for c in choices], ctl.t_end - s.t)
         try:
-            # each member's stage-1 tendency gives its step size and is
-            # stage 1 of its step
-            k1 = _stage_tendency(s, ps, g, ctl.dealias, 0)
-            choices = [choose_dt(State(t=t, y=y), q, ctl, g, ux)
-                       for t, y, q, ux in zip(s.t.tolist(), s.y, ps.members, k1.ux)]
-            dt = np.minimum([c.dt for c in choices], ctl.t_end - s.t)
-            s, chars = step_rk4(s, dt, ps, g, dealias=ctl.dealias, k1=k1, char=chars)
+            s, chars = step_rk4(s, k, dt, ps, g, dealias=ctl.dealias, char=chars)
         except OverflowSignal as exc:
             # the marked members leave; the rest retake the step, and one
             # that overflows in a later stage is caught there
             stops = {j: (RunStatus.OVERFLOW, None, exc.stage_index)
                      for j in np.flatnonzero(exc.rows).tolist()}
-            for j in stops:
-                logger.warning("overflow at t=%.6g (stage %d); terminating run",
-                               s.t[j], exc.stage_index)
             continue
         n_steps += 1
+        k = eval_rhs(s, ps, g, dealias=ctl.dealias, with_rho=True)
         ts = s.t.tolist()
-        for j, i in enumerate(live):
+        for i, c in zip(live, chars or []):
             m = members[i]
-            if chars is not None:
-                m.char = chars[j]
-            if m.char is not None and m.char.near_boundary and not m.warned_boundary:
+            m.traj.char = c
+            if c.near_boundary and not m.warned_boundary:
                 logger.warning(
                     "characteristic evaluation points within %.0f%% of the "
                     "domain half-width at t=%.6g; transport residuals may "
-                    "degrade", 100 * (1 - BOUNDARY_MARGIN), m.char.t)
+                    "degrade", 100 * (1 - BOUNDARY_MARGIN), c.t)
                 m.warned_boundary = True
 
         if n_steps % diag.every == 0:
-            record(live, s, dt.tolist(), n_steps)
+            record(live, s, k, dt.tolist(), n_steps)
         if diag.snapshot_every > 0 and n_steps % diag.snapshot_every == 0:
             snapshot(live, s, n_steps)
 
@@ -434,9 +423,9 @@ def run_batch(
             if not (choice.collapsed and ctl.t_end - t > t_eps):
                 continue
             sc = scenarios[live[j]]
-            ux, rhox = g.derivative(s.y[j], 1)
+            rhox = np.fft.irfft(k.yh[j, 1] * g.ik, n=g.N)
             hits = _detection_candidates(sc.branch, sc.rho_x_relevant,
-                                         ux, rhox, ctl.blowup_grad_threshold)
+                                         k.ux[j], rhox, ctl.blowup_grad_threshold)
             if hits:
                 quantity, value, x_j = max(hits, key=lambda h: abs(h[1]))
                 stops[j] = (RunStatus.BLOW_UP_DETECTED,
@@ -446,19 +435,16 @@ def run_batch(
                 logger.info("blow-up detected at t=%.6g: %s=%.6g at x=%.6g",
                             t, quantity.value, value, g.x[x_j])
         if ctl.resolution_tol is not None:
-            for j, pair in enumerate(g.tail_fraction(s.y).tolist()):
+            for j, pair in enumerate(g.tail_fraction(k.yh).tolist()):
                 tail = max(pair)
                 if j not in stops and tail > ctl.resolution_tol:
                     stops[j] = (RunStatus.RESOLUTION_LOST, None, None)
                     logger.info("resolution lost at t=%.6g: tail fraction %.3g "
                                 "> %.3g", ts[j], tail, ctl.resolution_tol)
-        for j, t in enumerate(ts):
-            if j not in stops and ctl.t_end - t <= t_eps:
-                stops[j] = (RunStatus.REACHED_T_END, None, None)
+        stops = ended(stops)
 
     for m in members:
         fill_identity_residuals(m.traj.records)
-        m.traj.char = m.char
     return [m.traj for m in members], [m.report for m in members]
 
 

@@ -22,7 +22,7 @@ import pytest
 from bfamily2c import (RESOLUTION_TOL, CaseTag, DiagSettings, Grid, InitKind,
                        InitSpec, ParamStack, RunStatus, State, StepControl,
                        SymmetryMode, blowup_bound, conservation_check,
-                       fill_identity_residuals, gronwall_check_h2,
+                       eval_rhs, fill_identity_residuals, gronwall_check_h2,
                        make_params, make_record, profile, rho_sup_bound_check,
                        riccati_check, run, step_rk4)
 from bfamily2c.cli import main
@@ -59,11 +59,11 @@ def grid_breaking():
 
 def records_at_stride(states, stride, p, g):
     """Diagnostics rows sampled every `stride` stored batches of one."""
-    recs = []
+    recs, ps = [], ParamStack([p])
     prev_t = None
     for s in states[::stride]:
-        recs += make_record(s, 0.0 if prev_t is None else s.t - prev_t,
-                            ParamStack([p]), g)
+        recs += make_record(s, eval_rhs(s, ps, g, with_rho=True),
+                            0.0 if prev_t is None else s.t - prev_t, ps, g)
         prev_t = s.t
     fill_identity_residuals(recs)
     return recs
@@ -76,9 +76,9 @@ def identity_run(grid_smooth, batch_of_one):
     p = make_params(CaseTag.CASE_I, 2.0)
     s = batch_of_one(State(0.0, np.stack([profile(GAUSS_U, g),
                                           profile(GAUSS_RHO, g)])))
-    states = [s]
+    states, ps = [s], ParamStack([p])
     for _ in range(300):
-        s, _ = step_rk4(s, np.array([1e-3]), ParamStack([p]), g)
+        s, _ = step_rk4(s, eval_rhs(s, ps, g), np.array([1e-3]), ps, g)
         states.append(s)
     return p, g, states
 
@@ -249,10 +249,12 @@ def test_a02_rk4_self_convergence(grid_smooth, batch_of_one):
     s0 = batch_of_one(State(0.0, np.stack([profile(GAUSS_U, g),
                                            profile(GAUSS_RHO, g)])))
 
+    ps = ParamStack([p])
+
     def advance(dt):
         s = s0
         for _ in range(round(0.2 / dt)):
-            s, _ = step_rk4(s, np.array([dt]), ParamStack([p]), g)
+            s, _ = step_rk4(s, eval_rhs(s, ps, g), np.array([dt]), ps, g)
         return s.u
 
     ref = advance(5e-4)

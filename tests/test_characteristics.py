@@ -5,9 +5,9 @@ import pytest
 
 from bfamily2c import (CaseTag, DiagSettings, Grid, InitKind, InitSpec,
                        OverflowSignal, ParamStack, State, StepControl,
-                       build_initial, custom_params, init_characteristics,
-                       make_params, rho_sup_bound_check, run, step_rk4,
-                       transport_residual)
+                       build_initial, custom_params, eval_rhs,
+                       init_characteristics, make_params, rho_sup_bound_check,
+                       run, step_rk4, transport_residual)
 from bfamily2c import stepper
 
 
@@ -45,8 +45,8 @@ def test_constant_velocity_translates_exactly(grid20, params_b2, batch_of_one):
     dt, c_val = 0.25, 0.75
     s = steady(grid20, c_val)
     c = init_characteristics(s.rho, params_b2, grid20, stride=8)
-    s = batch_of_one(s)
-    s_new, (c,) = step_rk4(s, np.array([dt]), ParamStack([params_b2]), grid20,
+    s, ps = batch_of_one(s), ParamStack([params_b2])
+    s_new, (c,) = step_rk4(s, eval_rhs(s, ps, grid20), np.array([dt]), ps, grid20,
                            char=[c])
     assert np.array_equal(s_new.y, s.y)
     assert np.allclose(c.q, c.labels + c_val * dt, atol=1e-12)
@@ -58,8 +58,9 @@ def test_zero_velocity_is_identity(grid20, params_b2, batch_of_one):
     dt = 0.3
     s = steady(grid20, 0.0)
     c = init_characteristics(s.rho, params_b2, grid20)
-    _, (c,) = step_rk4(batch_of_one(s), np.array([dt]), ParamStack([params_b2]),
-                       grid20, char=[c])
+    s, ps = batch_of_one(s), ParamStack([params_b2])
+    _, (c,) = step_rk4(s, eval_rhs(s, ps, grid20), np.array([dt]), ps, grid20,
+                       char=[c])
     assert np.array_equal(c.q, c.labels)
     assert np.all(c.qx == 1.0)
     assert not c.near_boundary
@@ -71,7 +72,8 @@ def test_near_boundary_flags_interior_drift(grid20, params_b2, batch_of_one):
     c = init_characteristics(s.rho, params_b2, grid20, stride=8)
     s, ps = batch_of_one(s), ParamStack([params_b2])
     for _ in range(30):
-        s, (c,) = step_rk4(s, np.array([1.0]), ps, grid20, char=[c])
+        s, (c,) = step_rk4(s, eval_rhs(s, ps, grid20), np.array([1.0]), ps, grid20,
+                           char=[c])
     assert c.near_boundary
 
 
@@ -81,7 +83,8 @@ def test_k3_zero_never_flags(grid20, batch_of_one):
     c = init_characteristics(s.rho, p, grid20, stride=8)
     s, ps = batch_of_one(s), ParamStack([p])
     for _ in range(30):
-        s, (c,) = step_rk4(s, np.array([1.0]), ps, grid20, char=[c])
+        s, (c,) = step_rk4(s, eval_rhs(s, ps, grid20), np.array([1.0]), ps, grid20,
+                           char=[c])
     assert not c.near_boundary
 
 
@@ -91,9 +94,9 @@ def test_non_finite_characteristic_update_is_an_overflow(grid20, params_b2,
     s = steady(grid20, 1.0)
     c = init_characteristics(s.rho, params_b2, grid20, stride=8)
     c.accumulated_integral[3] = np.inf
+    s, ps = batch_of_one(s), ParamStack([params_b2])
     with pytest.raises(OverflowSignal) as exc:
-        step_rk4(batch_of_one(s), np.array([0.1]), ParamStack([params_b2]), grid20,
-                 char=[c])
+        step_rk4(s, eval_rhs(s, ps, grid20), np.array([0.1]), ps, grid20, char=[c])
     assert exc.value.stage_index == 4
     assert exc.value.t.tolist() == [0.0] and exc.value.rows.tolist() == [True]
 
@@ -120,7 +123,7 @@ def test_step_advances_characteristics_as_the_two_pass_reference(
     monkeypatch.setattr(stepper, "eval_rhs", spy)
     for _ in range(20):
         stages.clear()
-        s, (c,) = step_rk4(s, np.array([2e-2]), ps, g, char=[c])
+        s, (c,) = step_rk4(s, spy(s, ps, g), np.array([2e-2]), ps, g, char=[c])
         ref = reference_advance(ref, stages, p, g, 2e-2)
         assert c.t == ref.t
         assert np.array_equal(c.q, ref.q)

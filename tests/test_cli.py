@@ -518,31 +518,40 @@ def test_overflowed_run_fails_run_and_check(tmp_path, capsys):
         "check FAILED: the run overflowed in RK4 stage 0"]
 
 
-@pytest.mark.parametrize("sweep, needle", [
-    ({"case": ["custom"], "b": [2.0]}, r"sweep: case\[0\] must be"),
-    ({"bb": [2.0]}, r"unknown field 'sweep\.bb'"),
-    ({"b": ["two"]}, r"sweep: b\[0\] must be a number"),
-    ({"b": [True]}, r"sweep: b\[0\] must be a number"),
-    ({"b": [2.0], "amplitude": [0.5, False]},
+@pytest.mark.parametrize("section, needle", [
+    ({"sweep": {"case": ["custom"], "b": [2.0]}}, r"sweep: case\[0\] must be"),
+    ({"sweep": {"bb": [2.0]}}, r"unknown field 'sweep\.bb'"),
+    ({"sweep": {"b": ["two"]}}, r"sweep: b\[0\] must be a number"),
+    ({"sweep": {"b": [True]}}, r"sweep: b\[0\] must be a number"),
+    ({"sweep": {"b": [2.0], "amplitude": [0.5, False]}},
      r"sweep: amplitude\[1\] must be a number"),
-    ({"amplitude": [1.0]}, r"sweep: b is empty"),
+    ({"sweep": {"amplitude": [1.0]}}, r"sweep: b is empty"),
     # directory names keep 6 significant digits
-    ({"b": [2.0], "amplitude": [0.1, 0.1000001]},
+    ({"sweep": {"b": [2.0], "amplitude": [0.1, 0.1000001]}},
      r"sweep members case=case_i b=2\.0 amplitude=0\.1 and case=case_i b=2\.0 "
      r"amplitude=0\.1000001 share the directory 'case_i_b2_a0p1'"),
-    ({"b": [2.0, 2.0]}, r"sweep members case=case_i b=2\.0 amplitude=1\.0 and "
+    ({"sweep": {"b": [2.0, 2.0]}},
+     r"sweep members case=case_i b=2\.0 amplitude=1\.0 and "
      r"case=case_i b=2\.0 amplitude=1\.0 share the directory 'case_i_b2_a1'"),
+    # the initial section is read as run reads it
+    ({"initial": None}, r"config error: missing section 'initial'"),
+    ({"initial": {"rho": {"kind": "gaussian"}}},
+     r"config error: missing required field 'initial\.u'"),
+    ({"initial": {"u": "x", "rho": {"kind": "gaussian"}}},
+     r"config error: field 'initial\.u' must be an object, got 'x'"),
 ], ids=["custom_case", "unknown_key", "b_not_a_number", "b_boolean",
-        "amplitude_boolean", "no_runs", "colliding_names", "repeated_member"])
-def test_sweep_rejects_bad_section(tmp_path, caplog, sweep, needle):
+        "amplitude_boolean", "no_runs", "colliding_names", "repeated_member",
+        "no_initial", "no_initial_u", "initial_u_not_an_object"])
+def test_sweep_rejects_bad_section(tmp_path, caplog, section, needle):
     cfg = {
-        "sweep": sweep,
+        "sweep": {"b": [2.0]},
         "grid": {"L": 20.0, "N": 256},
         "control": {"t_end": 0.05},
         "initial": {"u": {"kind": "gaussian"},
                     "rho": {"kind": "gaussian"}},
         "outputs": {"directory": str(tmp_path / "sw")},
-    }
+    } | section
+    cfg = {key: sec for key, sec in cfg.items() if sec is not None}
     assert main(["sweep", str(write_config(tmp_path, cfg))]) == 2
     assert re.search(needle, caplog.text)
     assert not (tmp_path / "sw").exists()

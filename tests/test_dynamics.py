@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bfamily2c import (CaseTag, Grid, Kernel, OverflowSignal, ParamStack,
-                       State, custom_params, eval_rhs, make_params, step_rk4)
+from bfamily2c import (CaseTag, DiagSettings, Grid, Kernel, RunStatus, State,
+                       StepControl, custom_params, eval_rhs, make_params, run)
 
 
 def mirror(f: np.ndarray) -> np.ndarray:
@@ -76,18 +76,19 @@ def test_k3_scales_drho(grid20):
     assert np.allclose(t2.dy[1], -2.0 * t1.dy[1], atol=1e-14)
 
 
-def test_nonfinite_state_raises(grid20, params_b2, batch_of_one):
+def test_nonfinite_state_raises(grid20, params_b2):
     # eval_rhs hands an overflowed row on as computed and without a
-    # RuntimeWarning; the stepper's stage gate names it
+    # RuntimeWarning; the run's gate on each state's evaluation names it
     u = np.full(grid20.N, 1e300)  # u*u overflows to inf
     s = State(0.0, np.stack([u, np.zeros(grid20.N)]))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         dy = eval_rhs(s, params_b2, grid20).dy
+        _, rep = run(s, params_b2, StepControl(t_end=1.0), grid20,
+                     diag=DiagSettings(char_stride=0))
     assert not np.isfinite(dy).all()
-    with pytest.raises(OverflowSignal) as exc:
-        step_rk4(batch_of_one(s), np.array([1e-3]), ParamStack([params_b2]), grid20)
-    assert exc.value.stage_index == 0 and exc.value.rows.tolist() == [True]
+    assert rep.status is RunStatus.OVERFLOW and rep.overflow_stage == 0
+    assert rep.n_steps == 0
 
 
 def _oracle_states(g, rng):
@@ -106,7 +107,7 @@ def test_fused_rhs_matches_separate_products(N, dealias, rng, reference_rhs):
     for name, s in _oracle_states(g, rng).items():
         t = eval_rhs(s, p, g, dealias=dealias)
         ref = reference_rhs(s, p, g, dealias=dealias)
-        for got, want in zip(t.dy, ref.dy):
+        for got, want in zip(t.dy, ref):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
         # u_x is the spectral derivative bit for bit
         assert np.array_equal(t.ux, g.derivative(s.u, 1)), name

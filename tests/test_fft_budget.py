@@ -42,6 +42,12 @@ def _state(g):
                                 0.5 * np.exp(-g.x**2)]))
 
 
+def _reset(calls, rows, lengths):
+    calls.update(rfft=0, irfft=0)
+    rows.update(rfft=0, irfft=0)
+    lengths.clear()
+
+
 def test_eval_rhs_takes_seven_transforms(grid20, params_b2, fft_calls):
     calls, rows, _ = fft_calls
     eval_rhs(_state(grid20), params_b2, grid20)
@@ -49,22 +55,24 @@ def test_eval_rhs_takes_seven_transforms(grid20, params_b2, fft_calls):
     # stack (du, drho) inverse
     assert calls == {"rfft": 2, "irfft": 2}
     assert rows == {"rfft": 4, "irfft": 3}
-
-
-def test_record_takes_eleven_transforms(grid20, params_b2, fft_calls,
-                                        batch_of_one):
-    calls, rows, _ = fft_calls
-    make_record(batch_of_one(_state(grid20)), 0.0, ParamStack([params_b2]), grid20)
-    # the stack (u, rho) forward, the seven derived fields inverse, and
-    # the Helmholtz solve of the source for conv0
+    _reset(calls, rows, [])
+    # an accepted state's evaluation transforms (u, rho) in the first call
+    eval_rhs(_state(grid20), params_b2, grid20, with_rho=True)
     assert calls == {"rfft": 2, "irfft": 2}
-    assert rows == {"rfft": 3, "irfft": 8}
+    assert rows == {"rfft": 5, "irfft": 3}
 
 
-def _reset(calls, rows, lengths):
-    calls.update(rfft=0, irfft=0)
-    rows.update(rfft=0, irfft=0)
-    lengths.clear()
+def test_record_takes_one_inverse_transform(grid20, params_b2, fft_calls,
+                                            batch_of_one):
+    calls, rows, _ = fft_calls
+    s, ps = batch_of_one(_state(grid20)), ParamStack([params_b2])
+    k = eval_rhs(s, ps, grid20, with_rho=True)
+    _reset(calls, rows, [])
+    make_record(s, k, 0.0, ps, grid20)
+    # u_x and the spectra of u, rho and the source come with k: one
+    # inverse of u_xx, u_xxx, m, m_x, rho_x, rho_xx and conv0's solve
+    assert calls == {"rfft": 0, "irfft": 1}
+    assert rows == {"rfft": 0, "irfft": 7}
 
 
 def test_transport_residual_takes_one_interpolation(grid20, params_b2,
@@ -91,11 +99,15 @@ def test_run_evaluates_each_accepted_state_once(grid20, params_b2, fft_calls,
     traj, rep = run(s0, params_b2, StepControl(t_end=0.3), grid20,
                     diag=DiagSettings(every=3, char_stride=0))
     assert rep.status is RunStatus.REACHED_T_END and rep.n_steps > 3
-    # four tendencies per step, stage 1 giving the step size its u_x;
-    # nothing else differentiates a state whose dt never collapsed
+    # the evaluation of each state gives the step size its u_x, is stage 1
+    # of the next step and feeds the record: the initial state's costs 4
+    # calls on 5 + 3 rows; a step, three stage tendencies (4 calls on
+    # 4 + 3 rows each) and the new state's, 16 calls on 29 rows; a record
+    # one inverse call on 7 rows.  Nothing else differentiates a state
+    # whose dt never collapsed.
     n, r = rep.n_steps, len(traj.records)
-    assert sum(calls.values()) == 16 * n + 4 * r
-    assert sum(rows.values()) == 28 * n + 11 * r
+    assert sum(calls.values()) == 16 * n + r + 4
+    assert sum(rows.values()) == 29 * n + 7 * r + 8
     assert derivatives == []
 
 
@@ -110,23 +122,23 @@ def test_run_with_characteristics_adds_one_interpolation_per_stage(
     # stack and an irfft onto the 2N-point fine grid), no derivative;
     # each record adds rho(t) at the labels, the run rho0 there once
     n, r = rep.n_steps, len(traj.records)
-    assert sum(calls.values()) == (16 + 8) * n + (4 + 2) * r + 2
-    assert sum(rows.values()) == (28 + 16) * n + (11 + 2) * r + 2
+    assert sum(calls.values()) == (16 + 8) * n + (1 + 2) * r + 4 + 2
+    assert sum(rows.values()) == (29 + 16) * n + (7 + 2) * r + 8 + 2
     assert lengths.count(2 * grid20.N) == 4 * n + r + 1
 
 
-def test_resolution_stop_takes_one_stacked_rfft(grid20, params_b2, fft_calls):
+def test_resolution_stop_takes_no_transform(grid20, params_b2, fft_calls):
     calls, rows, _ = fft_calls
     s0 = _state(grid20)
     # a tail share never exceeds 1, so this stop never fires
     traj, rep = run(s0, params_b2, StepControl(t_end=0.3, resolution_tol=1.0),
                     grid20, diag=DiagSettings(every=3, char_stride=0))
     assert rep.status is RunStatus.REACHED_T_END and rep.n_steps > 3
-    # one rfft of the (2, N) state per step on top of the bare run: the
-    # tails of u and rho, two rows
+    # the tails of u and rho come from the spectrum of the state's
+    # evaluation: the counts of the bare run
     n, r = rep.n_steps, len(traj.records)
-    assert calls == {"rfft": 9 * n + 2 * r, "irfft": 8 * n + 2 * r}
-    assert sum(rows.values()) == 30 * n + 11 * r
+    assert calls == {"rfft": 8 * n + 2, "irfft": 8 * n + r + 2}
+    assert sum(rows.values()) == 29 * n + 7 * r + 8
 
 
 def test_batch_takes_the_calls_of_one_member(grid20, fft_calls):
@@ -134,15 +146,21 @@ def test_batch_takes_the_calls_of_one_member(grid20, fft_calls):
     s = _state(grid20)
     batch = State(np.zeros(3), np.stack([s.y, 2.0 * s.y, 0.5 * s.y]))
     ps = ParamStack([make_params(CaseTag.CASE_I, b) for b in (1.5, 2.0, 3.0)])
-    step_rk4(batch, np.array([1e-3, 2e-3, 3e-3]), ps, grid20)
-    # four tendencies, each the 4 calls of eval_rhs; its 4 forward and 3
-    # inverse rows once per member
-    assert calls == {"rfft": 8, "irfft": 8}
-    assert rows == {"rfft": 3 * 16, "irfft": 3 * 12}
-    _reset(calls, rows, [])
-    make_record(batch, [0.1, 0.2, 0.3], ps, grid20)
+    k1 = eval_rhs(batch, ps, grid20, with_rho=True)
+    # the 4 calls of eval_rhs; its 5 forward and 3 inverse rows once per
+    # member
     assert calls == {"rfft": 2, "irfft": 2}
-    assert rows == {"rfft": 3 * 3, "irfft": 3 * 8}
+    assert rows == {"rfft": 3 * 5, "irfft": 3 * 3}
+    _reset(calls, rows, [])
+    step_rk4(batch, k1, np.array([1e-3, 2e-3, 3e-3]), ps, grid20)
+    # three stage tendencies, each 4 calls on 4 forward and 3 inverse
+    # rows per member
+    assert calls == {"rfft": 6, "irfft": 6}
+    assert rows == {"rfft": 3 * 12, "irfft": 3 * 9}
+    _reset(calls, rows, [])
+    make_record(batch, k1, [0.1, 0.2, 0.3], ps, grid20)
+    assert calls == {"rfft": 0, "irfft": 1}
+    assert rows == {"rfft": 0, "irfft": 3 * 7}
 
 
 @pytest.mark.parametrize("N", [64, 256, 1024, 4096])
@@ -156,3 +174,13 @@ def test_batched_transforms_match_single_rows(N, rng):
         back = np.fft.irfft(fh, n=N)
         assert all(np.array_equal(back[i], np.fft.irfft(fh[i], n=N))
                    for i in range(B))
+    # so the evaluation of an accepted state, which transforms (u, rho)
+    # together, gives each stage the bits of the u-only form
+    g = Grid(20.0, N)
+    for B in (1, 3):
+        ps = ParamStack([make_params(CaseTag.CASE_I, b) for b in (1.5, 2.0, 3.0)[:B]])
+        s = State(np.zeros(B), g.dealias(rng.standard_normal((B, 2, N))))
+        k, k_rho = eval_rhs(s, ps, g), eval_rhs(s, ps, g, with_rho=True)
+        assert np.array_equal(k_rho.dy, k.dy) and np.array_equal(k_rho.ux, k.ux)
+        assert np.array_equal(k_rho.sh, k.sh)
+        assert np.array_equal(k_rho.yh[:, :1], k.yh)

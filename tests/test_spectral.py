@@ -114,34 +114,37 @@ def test_tail_fraction(grid20):
     x, L, N = grid20.x, grid20.L, grid20.N
     low = np.cos(np.pi / L * x)
     top = np.cos((N // 4) * np.pi / L * x)  # inside (N/6, N/3]
-    assert grid20.tail_fraction(np.zeros(N)) == 0.0
-    assert grid20.tail_fraction(low) < 1e-28
-    assert grid20.tail_fraction(top) == pytest.approx(1.0, rel=1e-12)
-    assert grid20.tail_fraction(low + top) == pytest.approx(0.5, rel=1e-12)
+    share = lambda f: grid20.tail_fraction(np.fft.rfft(f))  # noqa: E731
+    assert share(np.zeros(N)) == 0.0
+    assert share(low) < 1e-28
+    assert share(top) == pytest.approx(1.0, rel=1e-12)
+    assert share(low + top) == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [64, 256, 1024, 4096])
 def test_tail_fraction_of_a_stack_matches_single_rows(N, rng):
-    # run() takes the tails of u and rho as one (2, N) call; each row
-    # must be the single-row share bit for bit, which the slice sum
-    # guarantees and a boolean-mask gather over the stack does not
+    # the run takes the tails of u and rho of every member from one
+    # stacked spectrum; each row must be the single-row share bit for
+    # bit, which the slice sum guarantees and a boolean-mask gather over
+    # the stack does not
     g = Grid(20.0, N)
     n = np.arange(g.k.size)
     decay = np.exp(-n / rng.uniform(2.0, N / 4, size=(40, 1)))
     phase = np.exp(2j * np.pi * rng.uniform(size=decay.shape))
     y = np.fft.irfft(decay * phase, n=N)
     y[7] = 0.0
-    for f in (y[:2], y[5:9], y):
+    fh = np.fft.rfft(y)
+    for f in (fh[:2], fh[5:9], fh):
         shares = g.tail_fraction(f)
         assert shares.shape == (f.shape[0],)
         assert all(shares[i] == g.tail_fraction(f[i]) for i in range(f.shape[0]))
-    assert g.tail_fraction(y[7]) == 0.0
+    assert g.tail_fraction(fh[7]) == 0.0
     # the single-row share is the masked sum it replaced, bit for bit
     tail = (n > N // 6) & (n < g.n_keep)
     for row in y[:7]:
         power = np.abs(np.fft.rfft(row)) ** 2
         total = power[0] + 2.0 * np.sum(power[1:-1]) + power[-1]
-        assert g.tail_fraction(row) == 2.0 * np.sum(power[tail]) / total
+        assert g.tail_fraction(np.fft.rfft(row)) == 2.0 * np.sum(power[tail]) / total
 
 
 # ----------------------------------------------------------------------

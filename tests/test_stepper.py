@@ -7,8 +7,8 @@ import pytest
 from bfamily2c import (CaseTag, DiagSettings, Framework, Grid, InitKind,
                        InitSpec, OverflowSignal, ParamStack, RunStatus, State,
                        StepControl, SymmetryMode, build_initial, choose_dt,
-                       custom_params, init_characteristics, make_params, run,
-                       run_batch, step_rk4)
+                       custom_params, eval_rhs, init_characteristics,
+                       make_params, run, run_batch, step_rk4)
 from bfamily2c import stepper
 
 
@@ -72,7 +72,7 @@ def test_step_rk4_fourth_order(grid20, params_b2, batch_of_one):
     def advance(dt, t_end=0.2):
         s, ps = batch_of_one(smooth_state(grid20)), ParamStack([params_b2])
         for _ in range(round(t_end / dt)):
-            s, _ = step_rk4(s, np.array([dt]), ps, grid20)
+            s, _ = step_rk4(s, eval_rhs(s, ps, grid20), np.array([dt]), ps, grid20)
         return s
 
     ref = advance(5e-4)
@@ -85,23 +85,27 @@ def test_step_rk4_fourth_order(grid20, params_b2, batch_of_one):
 
 
 def test_step_rk4_validates_dt(grid20, params_b2, batch_of_one):
+    s, ps = batch_of_one(smooth_state(grid20)), ParamStack([params_b2])
     with pytest.raises(ValueError):
-        step_rk4(batch_of_one(smooth_state(grid20)), np.array([0.0]),
-                 ParamStack([params_b2]), grid20)
+        step_rk4(s, eval_rhs(s, ps, grid20), np.array([0.0]), ps, grid20)
 
 
 def test_step_rk4_overflow_signal(grid20, params_b2, batch_of_one):
+    # u = 1e200 overflows in k1, which the caller gates, so the step's
+    # first gate to see it is stage 1's
     s = State(0.0, np.stack([np.full(grid20.N, 1e200), np.zeros(grid20.N)]))
+    b, ps = batch_of_one(s), ParamStack([params_b2])
     with pytest.raises(OverflowSignal) as exc:
-        step_rk4(batch_of_one(s), np.array([1e-3]), ParamStack([params_b2]), grid20)
-    assert exc.value.stage_index == 0
+        step_rk4(b, eval_rhs(b, ps, grid20), np.array([1e-3]), ps, grid20)
+    assert exc.value.stage_index == 1
     assert exc.value.rows.tolist() == [True]
     # the signal marks each member whose tendency is not finite
     ok = smooth_state(grid20).y
     batch = State(np.zeros(3), np.stack([ok, s.y, ok]))
+    ps = ParamStack([params_b2] * 3)
     with pytest.raises(OverflowSignal) as exc:
-        step_rk4(batch, np.full(3, 1e-3), ParamStack([params_b2] * 3), grid20)
-    assert exc.value.stage_index == 0
+        step_rk4(batch, eval_rhs(batch, ps, grid20), np.full(3, 1e-3), ps, grid20)
+    assert exc.value.stage_index == 1
     assert exc.value.rows.tolist() == [False, True, False]
 
 
@@ -110,10 +114,11 @@ def test_step_rk4_characteristics_leave_the_state_alone(grid20, params_b2,
     # the characteristics ride the PDE's stages without feeding back
     s = batch_of_one(smooth_state(grid20))
     ps, dt = ParamStack([params_b2]), np.array([1e-2])
-    out, none = step_rk4(s, dt, ps, grid20)
+    k1 = eval_rhs(s, ps, grid20)
+    out, none = step_rk4(s, k1, dt, ps, grid20)
     assert none is None
     c = init_characteristics(s.rho[0], params_b2, grid20)
-    out_c, (c,) = step_rk4(s, dt, ps, grid20, char=[c])
+    out_c, (c,) = step_rk4(s, k1, dt, ps, grid20, char=[c])
     assert np.array_equal(out_c.y, out.y)
     assert out_c.t.tolist() == out.t.tolist() == [c.t] == [1e-2]
     assert np.all(np.isfinite(c.q)) and np.all(c.qx > 0.0)
@@ -137,12 +142,12 @@ def test_step_rk4_evaluates_each_stage_at_its_time(grid20, params_b2,
     s = batch_of_one(State(0.25, smooth_state(grid20).y))
     ps, dt = ParamStack([params_b2]), np.array([1e-2])
     monkeypatch.setattr(stepper, "eval_rhs", spy)
-    step_rk4(s, dt, ps, grid20)
+    step_rk4(s, spy(s, ps, grid20), dt, ps, grid20)
     assert times == [[0.25], [0.25 + 0.5e-2], [0.25 + 0.5e-2], [0.25 + 1e-2]]
     # an overflow in a later stage names that stage's time
     monkeypatch.setattr(stepper, "eval_rhs", overflow)
     with pytest.raises(OverflowSignal) as exc:
-        step_rk4(s, dt, ps, grid20, k1=real(s, ps, grid20))
+        step_rk4(s, real(s, ps, grid20), dt, ps, grid20)
     assert exc.value.stage_index == 1
     assert exc.value.t.tolist() == [0.25 + 0.5e-2]
     assert exc.value.rows.tolist() == [True]
@@ -278,7 +283,7 @@ def test_resolution_stop_ends_steepening_run(params_b2):
                        InitSpec(InitKind.ZERO), g)
     traj, rep = run(s0, params_b2, StepControl(t_end=2.0, resolution_tol=1e-8),
                     g, diag=DiagSettings(every=3, char_stride=0, snapshot_every=1))
-    tails = [g.tail_fraction(s.u) for _, s in traj.snapshots[1:]]
+    tails = [g.tail_fraction(np.fft.rfft(s.u)) for _, s in traj.snapshots[1:]]
     assert rep.status is RunStatus.RESOLUTION_LOST
     assert rep.blowup is None
     assert rep.t_final < 2.0
@@ -332,17 +337,19 @@ def _odd_u(g, amplitude, t0):
 
 
 @pytest.mark.parametrize("ctl, members, statuses", [
-    # one member overflows in the first stage of step 1 and leaves, so
-    # the others take that step again; two lose resolution at steps 6
-    # and 10 and two reach t_end at steps 26 and 24
+    # one member's initial state overflows in its evaluation, so it
+    # leaves before step 1 and the others go on with their rows of it;
+    # two lose resolution at steps 6 and 10 and two reach t_end at
+    # steps 26 and 24
     (StepControl(t_end=0.6, resolution_tol=1e-8),
      [(0.2, CaseTag.CASE_I, 2.0), (1.0, CaseTag.CASE_I, 2.0),
       (1e160, CaseTag.CASE_I, 2.0), (0.2, CaseTag.CASE_II, 3.0),
       (0.1, CaseTag.CASE_II, 1.5)],
      ["reached_t_end", "resolution_lost", "overflow/0", "resolution_lost",
       "reached_t_end"]),
-    # two overflows in step 1: 1e160 in stage 0, then, when the others
-    # take the step again, 1e120 in stage 1
+    # two overflows: 1e160 in the evaluation of the initial state
+    # (stage 0), then 1e120 in stage 1 of step 1, which the others take
+    # again
     (StepControl(t_end=0.6, resolution_tol=1e-8),
      [(0.2, CaseTag.CASE_I, 2.0), (1e120, CaseTag.CASE_I, 2.0),
       (1.0, CaseTag.CASE_I, 2.0), (1e160, CaseTag.CASE_I, 2.0),
