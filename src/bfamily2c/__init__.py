@@ -20,7 +20,7 @@ from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, DiagRecord,
                           fill_identity_residuals, gronwall_check_h2,
                           h3_energy_check, make_record, riccati_check,
                           symmetry_residual)
-from .dynamics import State, Tendency, eval_rhs
+from .dynamics import State, Tendency, Workspace, eval_rhs
 from .initdata import InitKind, InitSpec, blowup_bound, build_initial, profile
 from .model import (Branch, CaseTag, Framework, ModelParams, ParamStack,
                     classify_scenario, custom_params, make_params)
@@ -37,7 +37,7 @@ __all__ = [
     "InitSpec", "Kernel", "ModelParams", "OverflowSignal", "ParamStack",
     "RESOLUTION_TOL",
     "RunReport", "RunStatus", "State", "StepControl", "SymmetryMode",
-    "Tendency", "Trajectory",
+    "Tendency", "Trajectory", "Workspace",
     "blowup_bound", "build_initial", "choose_dt",
     "classify_scenario", "conservation_check", "custom_params",
     "eval_rhs", "fill_identity_residuals",

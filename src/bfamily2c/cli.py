@@ -19,10 +19,12 @@ tampering, 2 usage/config error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
 import math
+import operator
 import os
 import sys
 import typing
@@ -134,12 +136,19 @@ def _build(cls, kwargs: dict, sec: dict, path: str):
 _NOT_IN_CONFIG = {"resolution_tol", "m0_spec", "table_path"}
 
 
+@functools.cache
+def _config_fields(cls) -> tuple:
+    """(name, resolved type, default or ...) of each config field of
+    dataclass `cls`; resolving the annotations is the costly part."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name], ... if f.default is MISSING else f.default)
+                 for f in fields(cls) if f.name not in _NOT_IN_CONFIG)
+
+
 def _take_fields(cls, sec: dict, path: str) -> dict:
     """Pop every config field of dataclass `cls`, typed and defaulted by it."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: _take(sec, path, f.name, hints[f.name],
-                          ... if f.default is MISSING else f.default)
-            for f in fields(cls) if f.name not in _NOT_IN_CONFIG}
+    return {name: _take(sec, path, name, kind, default)
+            for name, kind, default in _config_fields(cls)}
 
 
 def _parse_section(cls, cfg: dict, key: str, required: bool = True):
@@ -381,29 +390,32 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+# one row of each CSV as one %-format: '%.17g' writes what _fmt does
+_DIAG_ROW = ",".join(["%.17g"] * len(DIAG_COLUMNS)) + "\n"
+_EXTRA_ROW = ",".join(["%d"] + ["%.17g"] * (len(EXTRA_COLUMNS) - 1)) + "\n"
+_SNAP_ROW = "%.17g,%.17g,%.17g,%.17g\n"
+_diag_values = operator.attrgetter(*(c.lower() for c in DIAG_COLUMNS))
+_extra_values = operator.attrgetter(*EXTRA_COLUMNS)
+
+
 def write_diagnostics_csv(path: Path, records: list[DiagRecord]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(DIAG_HEADER + "\n")
-        for r in records:
-            vals = (getattr(r, c.lower()) for c in DIAG_COLUMNS)
-            fh.write(",".join(_fmt(v) for v in vals) + "\n")
+        fh.writelines(_DIAG_ROW % _diag_values(r) for r in records)
 
 
 def write_extras_csv(path: Path, records: list[DiagRecord]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(EXTRA_HEADER + "\n")
-        for r in records:
-            vals = [str(r.step)] + [_fmt(getattr(r, c)) for c in EXTRA_COLUMNS[1:]]
-            fh.write(",".join(vals) + "\n")
+        fh.writelines(_EXTRA_ROW % _extra_values(r) for r in records)
 
 
 def write_snapshot_csv(path: Path, state: State, g: Grid) -> None:
     m = g.helmholtz(state.u)
     with open(path, "w", newline="") as fh:
         fh.write(SNAP_HEADER + "\n")
-        for j in range(g.N):
-            fh.write(",".join((_fmt(g.x[j]), _fmt(state.u[j]),
-                               _fmt(state.rho[j]), _fmt(m[j]))) + "\n")
+        fh.writelines(_SNAP_ROW % row for row in zip(
+            g.x.tolist(), state.u.tolist(), state.rho.tolist(), m.tolist()))
 
 
 def read_records(diag_path: Path, extras_path: Path) -> list[DiagRecord]:

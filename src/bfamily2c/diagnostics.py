@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import State, Tendency
+from .dynamics import State, Tendency, Workspace
 from .model import (Branch, Framework, ModelParams, ParamStack,
                     classify_scenario)
 from .spectral import Grid
@@ -119,7 +119,6 @@ def symmetry_residual(s: State, mode: SymmetryMode, g: Grid) -> np.ndarray:
 # fields, no numpy warnings
 @np.errstate(over="ignore", invalid="ignore")
 def make_record(
-    s: State,
     k: Tendency,
     dt: float | Sequence[float],
     p: ParamStack,
@@ -129,27 +128,39 @@ def make_record(
     symmetry_mode: SymmetryMode | None = None,
     transport_res: float | Sequence[float] = math.nan,
     qx_min: float | Sequence[float] = math.nan,
+    ws: Workspace | None = None,
 ) -> list[DiagRecord]:
     """Evaluate all per-time diagnostics of a batch: one record per
-    member of s (B, 2, N), with p the members' ParamStack and k the
-    evaluation of s with with_rho=True.
+    member of k, the evaluation of the batch's spectrum at its times,
+    with p the members' ParamStack.
 
-    u_x is the tendency's, and the other spectral quantities come from
-    its spectra: one irfft of seven rows (u_xx, u_xxx, m, m_x, rho_x,
-    rho_xx, and source / (1 + kappa^2) for conv0).  dt, transport_res
-    and qx_min are one value for all members or one per member.  Each
-    record is bit for bit the one of its member alone.
+    u, rho and u_x are the evaluation's physical rows, and the other
+    spectral quantities come from its spectra: one irfft of seven rows
+    (u_xx, u_xxx, m, m_x, rho_x, rho_xx, and source / (1 + kappa^2) for
+    conv0), written into ws (a fresh Workspace when None).  dt,
+    transport_res and qx_min are one value for all members or one per
+    member.  Each record is bit for bit the one of its member alone.
     """
-    d = g.deriv_mult
-    u, rho, ux = s.u, s.rho, k.ux
-    uh, rh = k.yh[..., 0, :], k.yh[..., 1, :]
-    mh = uh * g.helm
+    B, d = len(k.t), g.deriv_mult
+    if ws is None:
+        ws = Workspace(B, g)
+    # one contiguous (B, .) block per derived row, and contiguous copies
+    # of the evaluated rows, so the products below pair like layouts
+    spec = ws.rec_spec[:B].transpose(1, 0, 2)
+    u, rho, ux = (np.ascontiguousarray(f) for f in (k.u, k.rho, k.ux))
+    uh, rh = k.yh[:, 0], k.yh[:, 1]
+    np.multiply(uh, d[2], out=spec[0])
+    np.multiply(uh, d[3], out=spec[1])
+    mh = np.multiply(uh, g.helm, out=spec[2])
+    np.multiply(mh, g.ik, out=spec[3])
+    np.multiply(rh, d[1], out=spec[4])
+    np.multiply(rh, d[2], out=spec[5])
     # conv: (1 - dx^2)^{-1} of eval_rhs's nonlocal source, whose products
     # are left un-dealiased so its integrand is pointwise >= 0 whenever
     # k1 <= 3 and k2 >= 0
-    uxx, uxxx, m, mx, rhox, rhoxx, conv = np.fft.irfft(np.stack(
-        [uh * d[2], uh * d[3], mh, mh * g.ik, rh * d[1], rh * d[2], k.sh / g.helm]),
-        n=g.N)
+    np.divide(k.sh, g.helm, out=spec[6])
+    uxx, uxxx, m, mx, rhox, rhoxx, conv = np.fft.irfft(
+        spec, n=g.N, out=ws.rec_fields[:B].transpose(1, 0, 2))
 
     I = g.integrate
     # the fields broadcast against p's coefficients, the per-member
@@ -158,10 +169,11 @@ def make_record(
     i_m2, i_mx2, i_rho2 = I(m**2), I(mx**2), I(rho**2)
     i_rhox2, i_rhoxx2 = I(rhox**2), I(rhoxx**2)
     j0 = g.origin_index
-    sym = math.nan if symmetry_mode is None else symmetry_residual(s, symmetry_mode, g)
+    sym = (math.nan if symmetry_mode is None
+           else symmetry_residual(State(k.t, k.y), symmetry_mode, g))
     columns = dict(
         step=step,
-        t=s.t,
+        t=k.t,
         dt=dt,
         # fmax is Python's max(0, .): a nan norm reads 0
         l2_u=np.sqrt(np.fmax(0.0, g.spectrum_norm_sq(uh, 0.0))),
@@ -193,7 +205,7 @@ def make_record(
         symmetry_res=sym,
         qx_min=qx_min,
     )
-    rows = zip(*(_per_member(v, len(s.y)) for v in columns.values()))
+    rows = zip(*(_per_member(v, len(k.t)) for v in columns.values()))
     return [DiagRecord(**dict(zip(columns, row))) for row in rows]
 
 

@@ -16,6 +16,12 @@ kmax = (N/3) pi / L, so by Bernstein's inequality
 ||u_x||_inf > cfl / dt_min (3e8 at the defaults).  An optional stop on
 the spectral tail (StepControl.resolution_tol) ends such a run with
 its own status, distinct from blow-up detection.
+
+The stepped variable is the spectrum of (u, rho) (see dynamics), held
+with every other per-step array in the Workspace that run_batch
+allocates once for its starting batch.  The RK4 stages and the combine
+touch only the bins the 2/3 rule keeps; the physical fields come from
+the inverse transform of each accepted state's evaluation.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .characteristics import (BOUNDARY_MARGIN, CharField,
                               transport_residual, update_characteristics)
 from .diagnostics import (DiagRecord, SymmetryMode, fill_identity_residuals,
                           make_record)
-from .dynamics import State, Tendency, eval_rhs
+from .dynamics import State, Tendency, Workspace, eval_rhs
 from .model import (Branch, Framework, ModelParams, ParamStack,
                     classify_scenario)
 from .spectral import Grid
@@ -136,69 +142,88 @@ def choose_dt(s: State, p: ModelParams, ctl: StepControl, g: Grid,
     return DtChoice(dt=dt, collapsed=raw < ctl.dt_min)
 
 
-def _nonfinite(y: np.ndarray) -> np.ndarray:
-    """The (B,) mask of the members whose rows of y (B, 2, N) are not finite."""
-    return ~np.isfinite(y).all(axis=(-2, -1))
+def _nonfinite(a: np.ndarray) -> np.ndarray:
+    """The (B,) mask of the members whose rows of a (B, R, n) are not finite."""
+    return ~np.isfinite(a).all(axis=(-2, -1))
 
 
-def _rates(x: tuple, k: Tendency, members: Sequence[ModelParams], g: Grid) -> tuple:
-    """The time derivative of the stage tuple x = (y, q_0, exponent_0,
-    q_1, exponent_1, ...): the characteristics of member i ride its own
-    rows of y and of the tendency's u_x."""
-    return (k.dy, *(r for i, q in enumerate(x[1::2])
-                    for r in characteristic_rates(x[0][i, 0], k.ux[i], q,
-                                                  members[i], g)))
+def _char_rates(x: tuple, k: Tendency, members: Sequence[ModelParams], g: Grid) -> tuple:
+    """The time derivative of the tuple x = (q_0, exponent_0, q_1,
+    exponent_1, ...): the characteristics of member i ride its own rows
+    of the stage's u and u_x."""
+    return tuple(r for i, q in enumerate(x[::2])
+                 for r in characteristic_rates(k.u[i], k.ux[i], q, members[i], g))
 
 
-def step_rk4(s: State, k1: Tendency, dt: np.ndarray, p: ParamStack, g: Grid,
-             dealias: bool = True, char: list[CharField] | None = None
-             ) -> tuple[State, list[CharField] | None]:
-    """One classical RK4 step of a batch in lockstep: the new state and
-    the advanced characteristics (or None).
+def step_rk4(k1: Tendency, dt: np.ndarray, p: ParamStack, g: Grid, ws: Workspace,
+             char: list[CharField] | None = None
+             ) -> tuple[np.ndarray, list[CharField] | None]:
+    """One classical RK4 step of a batch in lockstep, from k1, the
+    evaluation of its spectrum k1.yh at times k1.t (stage 1): the new
+    times and the advanced characteristics (or None).  The step
+    advances k1.yh in place (ws.yh in a run).
 
-    s.y is (B, 2, N), k1 its tendency (stage 1), s.t and dt are per
-    member (B,), p is the members' ParamStack and char, if given, the
-    list of their CharFields.  Each member's new rows are bit for bit
-    those of its step alone.
+    dt is per member (B,), p is the members' ParamStack and char, if
+    given, the list of their CharFields.  Each member's new rows are bit
+    for bit those of its step alone.  The stage states and the combine
+    touch only the ws.n_keep bins the tendencies keep; the others stay
+    those of k1.yh.  The combine writes ws.yh_next, which is copied to
+    k1.yh once its gate passes.
 
     Stage i is evaluated at t + w_i dt.  Given char, the stages advance
-    the tuple (y, q, accumulated_integral) in one tableau; the
-    characteristic rates take the u_x each stage's tendency computed.
-    A member whose tendency in stage 1, 2 or 3 is not finite raises
-    OverflowSignal with the stage index, and one whose y, q or exponent
-    is not finite after the combine with index 4; the signal marks
-    those members.  k1 is the caller's to gate (stage 0).
+    each member's (q, accumulated_integral) in the same tableau; the
+    characteristic rates take the u and u_x each stage's evaluation
+    computed.  A member whose tendency in stage 1, 2 or 3 is not finite
+    raises OverflowSignal with the stage index, and one whose spectrum,
+    q or exponent is not finite after the combine with index 4; the
+    signal marks those members and leaves k1.yh alone.  k1 is the
+    caller's to gate (stage 0).
     """
     dts = dt.tolist()
     if not all(d > 0.0 for d in dts):
         raise ValueError(f"dt must be positive, got {dt}")
-    t = s.t
+    # h is complex, so that scaling a tendency by it needs no buffered cast
+    K, t, yh, h = ws.n_keep, k1.t, k1.yh, dt.astype(complex)[:, None, None]
     chars = char or []
-    # the stage tuple, and the step of each entry: y takes dt as a
-    # (B, 1, 1) column, member i's characteristics its own dt
-    x = (s.y, *(a for c in chars for a in (c.q, c.accumulated_integral)))
-    h = (dt[:, None, None],
-         *(d for c, d in zip(chars, dts) for _ in (c.q, c.accumulated_integral)))
-    rs = [_rates(x, k1, p.members, g)]
+    # the characteristics' stage tuple, and member i's own dt for each entry
+    x = tuple(a for c in chars for a in (c.q, c.accumulated_integral))
+    hx = tuple(d for c, d in zip(chars, dts) for _ in (c.q, c.accumulated_integral))
+    ks, rs = [k1], [_char_rates(x, k1, p.members, g)]
+    stage_yh = ws.spec[:, :2]
+    stage_yh[..., K:] = yh[..., K:]
     for stage, w in ((1, 0.5), (2, 0.5), (3, 1.0)):
-        xi = tuple(xj + (w * hj) * rj for xj, hj, rj in zip(x, h, rs[-1]))
+        np.multiply(w * h, ks[-1].dyh, out=stage_yh[..., :K])
+        stage_yh[..., :K] += yh[..., :K]
+        xi = tuple(xj + (w * hj) * rj for xj, hj, rj in zip(x, hx, rs[-1]))
         ti = t + w * dt
-        k = eval_rhs(State(t=ti, y=xi[0]), p, g, dealias=dealias)
-        if (bad := _nonfinite(k.dy)).any():
+        k = eval_rhs(ti, stage_yh, p, g, ws, stage)
+        if (bad := _nonfinite(k.dyh)).any():
             raise OverflowSignal(stage, ti, bad)
-        rs.append(_rates(xi, k, p.members, g))
+        ks.append(k)
+        rs.append(_char_rates(xi, k, p.members, g))
 
+    # yh + (dt/6) (k1 + 2 k2 + 2 k3 + k4) on the kept bins; k3 is
+    # doubled in place, as nothing reads it again
+    new = ws.yh_next
+    np.multiply(ks[1].dyh, 2.0, out=new)
+    new += ks[0].dyh
+    ks[2].dyh *= 2.0
+    new += ks[2].dyh
+    new += ks[3].dyh
+    new *= h / 6.0
+    new += yh[..., :K]
     x_new = tuple(xj + (hj / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
-                  for xj, hj, (r1, r2, r3, r4) in zip(x, h, zip(*rs)))
-    bad = _nonfinite(x_new[0])
+                  for xj, hj, (r1, r2, r3, r4) in zip(x, hx, zip(*rs)))
+    bad = _nonfinite(new)
     if chars:
         bad |= [not (np.isfinite(q).all() and np.isfinite(a).all())
-                for q, a in zip(x_new[1::2], x_new[2::2])]
+                for q, a in zip(x_new[::2], x_new[1::2])]
     if bad.any():
         raise OverflowSignal(4, t, bad)
+    yh[..., :K] = new
     chars = [update_characteristics(c, d, q, a, mp, g) for c, d, q, a, mp
-             in zip(chars, dts, x_new[1::2], x_new[2::2], p.members)]
-    return State(t=t + dt, y=x_new[0]), None if char is None else chars
+             in zip(chars, dts, x_new[::2], x_new[1::2], p.members)]
+    return t + dt, None if char is None else chars
 
 
 @dataclass(frozen=True)
@@ -277,13 +302,14 @@ def run_batch(
     detection, lost resolution, or overflow.
 
     The members share g, ctl and diag; each has its own state (2, N)
-    and params.  Their states advance as one stack (B, 2, N), one
-    step_rk4 per step, and are recorded by one make_record.  A member
-    that stops leaves the stack.  numpy computes each row of a stack
-    bit for bit as the row alone, so every member's trajectory and
-    report are those of run() on it alone.  The members that overflow
-    in a stage of a step leave with that stage, and the others take
-    the step again as one batch.
+    and params.  Their spectra advance as one stack (B, 2, N/2 + 1) in
+    one Workspace, allocated here for the starting batch: one step_rk4
+    per step, and one make_record per record.  A member that stops
+    leaves the stack, and the others move to its first rows.  numpy
+    computes each row of a stack bit for bit as the row alone, so every
+    member's trajectory and report are those of run() on it alone.  The
+    members that overflow in a stage of a step leave with that stage,
+    and the others take the step again as one batch.
 
     Detection: the branch-relevant gradient quantity (per
     classify_scenario under ctl.framework) exceeds
@@ -298,11 +324,12 @@ def run_batch(
     u steepens.  Detection on the same step takes precedence.  Either
     way the stopping state is the final record.
 
-    Each accepted state is evaluated once, with rho, after the combine
-    (the initial state before the loop): its Tendency gives choose_dt
-    the u_x, is stage 1 of the next step and feeds detection, the
-    resolution stop and the record.  A member whose evaluation
-    overflows ends with overflow_stage 0 unless another stop ends it.
+    The initial states are transformed once.  Each accepted state is
+    evaluated once, after the combine (the initial state before the
+    loop): its Tendency gives choose_dt the physical u and u_x, is
+    stage 1 of the next step and feeds detection, the resolution stop,
+    the record and the snapshot.  A member whose evaluation overflows
+    ends with overflow_stage 0 unless another stop ends it.
 
     Identical inputs produce bit-identical trajectories on one
     platform.
@@ -315,71 +342,71 @@ def run_batch(
                                                                diag.char_stride)
                                      if diag.char_stride > 0 else None))
                for s0, p in zip(states, params)]
-    live = list(range(len(members)))  # the member of each row of s
-    s = State(t=np.array([s0.t for s0 in states], dtype=float),
-              y=np.stack([s0.y for s0 in states]))
+    live = list(range(len(members)))  # the member of each row of the batch
     ps = ParamStack(params)
+    ws = Workspace.for_states(states, g, ctl.dealias)
     n_steps = 0
     t_eps = 1e-12 * max(1.0, ctl.t_end)
 
-    def record(idx: list[int], rows: State, rk: Tendency, dt, step: int) -> None:
-        """One make_record of the members idx: their states rows, evaluated by rk."""
+    def record(idx: list[int], rk: Tendency, dt, step: int) -> None:
+        """One make_record of the members idx, evaluated by rk."""
         tres, qxmin = [], []
-        for i, t, y in zip(idx, rows.t.tolist(), rows.y):
+        for i, t, y in zip(idx, rk.t.tolist(), rk.y):
             c = members[i].traj.char
             tres.append(math.nan if c is None
                         else transport_residual(State(t=t, y=y), c, members[i].p, g))
             qxmin.append(math.nan if c is None else float(np.min(c.qx)))
-        recs = make_record(rows, rk, dt, ParamStack([members[i].p for i in idx]), g,
+        recs = make_record(rk, dt, ParamStack([members[i].p for i in idx]), g,
                            step=step, hs_order=diag.hs_order,
                            symmetry_mode=diag.symmetry_mode,
-                           transport_res=tres, qx_min=qxmin)
+                           transport_res=tres, qx_min=qxmin, ws=ws)
         for i, rec in zip(idx, recs):
             members[i].traj.records.append(rec)
 
-    def snapshot(idx: list[int], rows: State, step: int) -> None:
-        for i, t, y in zip(idx, rows.t.tolist(), rows.y):
+    def snapshot(idx: list[int], rk: Tendency, step: int) -> None:
+        for i, t, y in zip(idx, rk.t.tolist(), rk.y):
             members[i].traj.snapshots.append((step, State(t=t, y=y.copy())))
 
     def ended(stops: dict) -> dict:
         """stops, then the members at t_end, then those whose k overflowed."""
-        for j, t in enumerate(s.t.tolist()):
+        for j, t in enumerate(k.t.tolist()):
             if ctl.t_end - t <= t_eps:
                 stops.setdefault(j, (RunStatus.REACHED_T_END, None, None))
-        for j in np.flatnonzero(_nonfinite(k.dy)).tolist():
+        for j in np.flatnonzero(_nonfinite(k.dyh)).tolist():
             stops.setdefault(j, (RunStatus.OVERFLOW, None, 0))
         return stops
 
     def leave(stops: dict, step: int) -> None:
-        """End the members of the rows j in stops at those rows of s,
-        after `step` steps, and drop the rows from the batch;
+        """End the members of the rows j in stops at their accepted
+        state, after `step` steps, and drop the rows from the batch;
         stops[j] = (status, blowup, overflow_stage)."""
-        nonlocal s, k, live, ps
+        nonlocal k, ws, live, ps
         final = [j for j in stops if members[live[j]].traj.records[-1].step != step]
         if final:
             # final row: dt column holds the time elapsed since the previous record
-            sub = State(t=s.t[final], y=s.y[final])
+            sub = k.rows(final)
             idx = [live[j] for j in final]
-            record(idx, sub, k.rows(final), [t - members[i].traj.records[-1].t
-                                             for i, t in zip(idx, sub.t.tolist())], step)
+            record(idx, sub, [t - members[i].traj.records[-1].t
+                              for i, t in zip(idx, sub.t.tolist())], step)
         for j, (status, blowup, stage) in stops.items():
             m = members[live[j]]
             if status is RunStatus.OVERFLOW:
                 logger.warning("overflow at t=%.6g (stage %d); terminating run",
-                               s.t[j], stage)
+                               k.t[j], stage)
             if diag.snapshot_every > 0 and m.traj.snapshots[-1][0] != step:
-                snapshot([live[j]], State(t=s.t[j:j + 1], y=s.y[j:j + 1]), step)
-            m.report = RunReport(status=status, t_final=float(s.t[j]),
+                snapshot([live[j]], k.rows([j]), step)
+            m.report = RunReport(status=status, t_final=float(k.t[j]),
                                  n_steps=step, blowup=blowup, overflow_stage=stage)
         rest = [j for j in range(len(live)) if j not in stops]
-        s, k = State(t=s.t[rest], y=s.y[rest]), k.rows(rest)
+        ws = ws.keep(rest)
+        k = ws.tendency(0, k.t[rest], ws.yh)
         live = [live[j] for j in rest]
         ps = ParamStack([members[i].p for i in live])
 
-    k = eval_rhs(s, ps, g, dealias=ctl.dealias, with_rho=True)
-    record(live, s, k, 0.0, 0)
+    k = eval_rhs(np.array([s0.t for s0 in states], dtype=float), ws.yh, ps, g, ws)
+    record(live, k, 0.0, 0)
     if diag.snapshot_every > 0:
-        snapshot(live, s, 0)
+        snapshot(live, k, 0)
 
     stops = ended({})
     while True:
@@ -389,10 +416,10 @@ def run_batch(
             break
         chars = [members[i].traj.char for i in live] if diag.char_stride > 0 else None
         choices = [choose_dt(State(t=t, y=y), q, ctl, g, ux)
-                   for t, y, q, ux in zip(s.t.tolist(), s.y, ps.members, k.ux)]
-        dt = np.minimum([c.dt for c in choices], ctl.t_end - s.t)
+                   for t, y, q, ux in zip(k.t.tolist(), k.y, ps.members, k.ux)]
+        dt = np.minimum([c.dt for c in choices], ctl.t_end - k.t)
         try:
-            s, chars = step_rk4(s, k, dt, ps, g, dealias=ctl.dealias, char=chars)
+            t, chars = step_rk4(k, dt, ps, g, ws, char=chars)
         except OverflowSignal as exc:
             # the marked members leave; the rest retake the step, and one
             # that overflows in a later stage is caught there
@@ -400,8 +427,8 @@ def run_batch(
                      for j in np.flatnonzero(exc.rows).tolist()}
             continue
         n_steps += 1
-        k = eval_rhs(s, ps, g, dealias=ctl.dealias, with_rho=True)
-        ts = s.t.tolist()
+        k = eval_rhs(t, ws.yh, ps, g, ws)
+        ts = t.tolist()
         for i, c in zip(live, chars or []):
             m = members[i]
             m.traj.char = c
@@ -413,9 +440,9 @@ def run_batch(
                 m.warned_boundary = True
 
         if n_steps % diag.every == 0:
-            record(live, s, k, dt.tolist(), n_steps)
+            record(live, k, dt.tolist(), n_steps)
         if diag.snapshot_every > 0 and n_steps % diag.snapshot_every == 0:
-            snapshot(live, s, n_steps)
+            snapshot(live, k, n_steps)
 
         stops = {}
         for j, (choice, t) in enumerate(zip(choices, ts)):

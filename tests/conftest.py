@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bfamily2c import (CaseTag, CharField, DiagRecord, Grid, State,
-                       SymmetryMode, make_params, symmetry_residual)
+                       SymmetryMode, Workspace, make_params,
+                       symmetry_residual)
 from bfamily2c.characteristics import BOUNDARY_MARGIN
 
 
@@ -23,10 +24,10 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
-def _batch_of_one(s: State) -> State:
-    """The state s (2, N) as the batch (1, 2, N) that step_rk4 and
-    make_record take, with t of shape (1,)."""
-    return State(t=np.array([s.t], dtype=float), y=s.y[None])
+def _batch_of_one(s: State, g: Grid, dealias: bool = True):
+    """The state s (2, N) as the batch of one that eval_rhs and step_rk4
+    advance: its times (1,) and a Workspace holding its spectrum."""
+    return np.array([s.t], dtype=float), Workspace.for_states([s], g, dealias)
 
 
 @pytest.fixture(scope="session")

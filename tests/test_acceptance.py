@@ -58,13 +58,14 @@ def grid_breaking():
 
 
 def records_at_stride(states, stride, p, g):
-    """Diagnostics rows sampled every `stride` stored batches of one."""
+    """Diagnostics rows sampled every `stride` stored (t, spectrum) pairs
+    of a batch of one."""
     recs, ps = [], ParamStack([p])
     prev_t = None
-    for s in states[::stride]:
-        recs += make_record(s, eval_rhs(s, ps, g, with_rho=True),
-                            0.0 if prev_t is None else s.t - prev_t, ps, g)
-        prev_t = s.t
+    for t, yh in states[::stride]:
+        recs += make_record(eval_rhs(t, yh, ps, g),
+                            0.0 if prev_t is None else t - prev_t, ps, g)
+        prev_t = t
     fill_identity_residuals(recs)
     return recs
 
@@ -74,12 +75,12 @@ def identity_run(grid_smooth, batch_of_one):
     """Smooth case-(i) b=2 run at fixed dt=1e-3 to t=0.3, all states kept."""
     g = grid_smooth
     p = make_params(CaseTag.CASE_I, 2.0)
-    s = batch_of_one(State(0.0, np.stack([profile(GAUSS_U, g),
-                                          profile(GAUSS_RHO, g)])))
-    states, ps = [s], ParamStack([p])
+    t, ws = batch_of_one(State(0.0, np.stack([profile(GAUSS_U, g),
+                                             profile(GAUSS_RHO, g)])), g)
+    states, ps = [(t, ws.yh.copy())], ParamStack([p])
     for _ in range(300):
-        s, _ = step_rk4(s, eval_rhs(s, ps, g), np.array([1e-3]), ps, g)
-        states.append(s)
+        t, _ = step_rk4(eval_rhs(t, ws.yh, ps, g, ws), np.array([1e-3]), ps, g, ws)
+        states.append((t, ws.yh.copy()))
     return p, g, states
 
 
@@ -246,16 +247,14 @@ def test_a01_inverse_helmholtz():
 def test_a02_rk4_self_convergence(grid_smooth, batch_of_one):
     g = grid_smooth
     p = make_params(CaseTag.CASE_I, 2.0)
-    s0 = batch_of_one(State(0.0, np.stack([profile(GAUSS_U, g),
-                                           profile(GAUSS_RHO, g)])))
-
+    s0 = State(0.0, np.stack([profile(GAUSS_U, g), profile(GAUSS_RHO, g)]))
     ps = ParamStack([p])
 
     def advance(dt):
-        s = s0
+        t, ws = batch_of_one(s0, g)
         for _ in range(round(0.2 / dt)):
-            s, _ = step_rk4(s, eval_rhs(s, ps, g), np.array([dt]), ps, g)
-        return s.u
+            t, _ = step_rk4(eval_rhs(t, ws.yh, ps, g, ws), np.array([dt]), ps, g, ws)
+        return np.fft.irfft(ws.yh[0, 0], n=g.N)
 
     ref = advance(5e-4)
     errs = [float(np.max(np.abs(advance(dt) - ref)))

@@ -45,10 +45,11 @@ def test_constant_velocity_translates_exactly(grid20, params_b2, batch_of_one):
     dt, c_val = 0.25, 0.75
     s = steady(grid20, c_val)
     c = init_characteristics(s.rho, params_b2, grid20, stride=8)
-    s, ps = batch_of_one(s), ParamStack([params_b2])
-    s_new, (c,) = step_rk4(s, eval_rhs(s, ps, grid20), np.array([dt]), ps, grid20,
-                           char=[c])
-    assert np.array_equal(s_new.y, s.y)
+    (t, ws), ps = batch_of_one(s, grid20), ParamStack([params_b2])
+    yh0 = ws.yh.copy()
+    _, (c,) = step_rk4(eval_rhs(t, ws.yh, ps, grid20, ws), np.array([dt]), ps,
+                       grid20, ws, char=[c])
+    assert np.array_equal(ws.yh, yh0)
     assert np.allclose(c.q, c.labels + c_val * dt, atol=1e-12)
     assert np.allclose(c.qx, 1.0, atol=1e-14)
     assert c.t == dt
@@ -58,9 +59,9 @@ def test_zero_velocity_is_identity(grid20, params_b2, batch_of_one):
     dt = 0.3
     s = steady(grid20, 0.0)
     c = init_characteristics(s.rho, params_b2, grid20)
-    s, ps = batch_of_one(s), ParamStack([params_b2])
-    _, (c,) = step_rk4(s, eval_rhs(s, ps, grid20), np.array([dt]), ps, grid20,
-                       char=[c])
+    (t, ws), ps = batch_of_one(s, grid20), ParamStack([params_b2])
+    _, (c,) = step_rk4(eval_rhs(t, ws.yh, ps, grid20, ws), np.array([dt]), ps,
+                       grid20, ws, char=[c])
     assert np.array_equal(c.q, c.labels)
     assert np.all(c.qx == 1.0)
     assert not c.near_boundary
@@ -70,10 +71,10 @@ def test_near_boundary_flags_interior_drift(grid20, params_b2, batch_of_one):
     # push interior characteristics past 95% of the half-width
     s = steady(grid20, 1.0)
     c = init_characteristics(s.rho, params_b2, grid20, stride=8)
-    s, ps = batch_of_one(s), ParamStack([params_b2])
+    (t, ws), ps = batch_of_one(s, grid20), ParamStack([params_b2])
     for _ in range(30):
-        s, (c,) = step_rk4(s, eval_rhs(s, ps, grid20), np.array([1.0]), ps, grid20,
-                           char=[c])
+        t, (c,) = step_rk4(eval_rhs(t, ws.yh, ps, grid20, ws), np.array([1.0]), ps,
+                           grid20, ws, char=[c])
     assert c.near_boundary
 
 
@@ -81,10 +82,10 @@ def test_k3_zero_never_flags(grid20, batch_of_one):
     p = custom_params(2.0, 4.0, 0.0)
     s = steady(grid20, 1.0)
     c = init_characteristics(s.rho, p, grid20, stride=8)
-    s, ps = batch_of_one(s), ParamStack([p])
+    (t, ws), ps = batch_of_one(s, grid20), ParamStack([p])
     for _ in range(30):
-        s, (c,) = step_rk4(s, eval_rhs(s, ps, grid20), np.array([1.0]), ps, grid20,
-                           char=[c])
+        t, (c,) = step_rk4(eval_rhs(t, ws.yh, ps, grid20, ws), np.array([1.0]), ps,
+                           grid20, ws, char=[c])
     assert not c.near_boundary
 
 
@@ -94,9 +95,10 @@ def test_non_finite_characteristic_update_is_an_overflow(grid20, params_b2,
     s = steady(grid20, 1.0)
     c = init_characteristics(s.rho, params_b2, grid20, stride=8)
     c.accumulated_integral[3] = np.inf
-    s, ps = batch_of_one(s), ParamStack([params_b2])
+    (t, ws), ps = batch_of_one(s, grid20), ParamStack([params_b2])
     with pytest.raises(OverflowSignal) as exc:
-        step_rk4(s, eval_rhs(s, ps, grid20), np.array([0.1]), ps, grid20, char=[c])
+        step_rk4(eval_rhs(t, ws.yh, ps, grid20, ws), np.array([0.1]), ps, grid20, ws,
+                 char=[c])
     assert exc.value.stage_index == 4
     assert exc.value.t.tolist() == [0.0] and exc.value.rows.tolist() == [True]
 
@@ -111,19 +113,21 @@ def test_step_advances_characteristics_as_the_two_pass_reference(
     s = build_initial(InitSpec(InitKind.GAUSSIAN),
                       InitSpec(InitKind.GAUSSIAN, amplitude=0.5), g)
     c = ref = init_characteristics(s.rho, p, g, stride=2)
-    s, ps = batch_of_one(s), ParamStack([p])
+    (t, ws), ps = batch_of_one(s, g), ParamStack([p])
     stages, real = [], stepper.eval_rhs
 
-    def spy(st, *args, **kwargs):
-        # the stage of the batch's one member
-        k = real(st, *args, **kwargs)
-        stages.append((st.t[0], st.u[0], k.ux[0]))
+    def spy(*args, **kwargs):
+        # the stage of the batch's one member; its rows are the
+        # workspace's, which the next stage overwrites
+        k = real(*args, **kwargs)
+        stages.append((k.t[0], k.u[0].copy(), k.ux[0].copy()))
         return k
 
     monkeypatch.setattr(stepper, "eval_rhs", spy)
     for _ in range(20):
         stages.clear()
-        s, (c,) = step_rk4(s, spy(s, ps, g), np.array([2e-2]), ps, g, char=[c])
+        t, (c,) = step_rk4(spy(t, ws.yh, ps, g, ws), np.array([2e-2]), ps, g, ws,
+                           char=[c])
         ref = reference_advance(ref, stages, p, g, 2e-2)
         assert c.t == ref.t
         assert np.array_equal(c.q, ref.q)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -160,6 +161,44 @@ def test_records_csv_round_trip(tmp_path, grid20, params_b2):
             va, vb = getattr(a, col), getattr(b, col)
             assert va == vb or (math.isnan(va) and math.isnan(vb)), col
         assert a.step == b.step
+
+
+# every kind of float a CSV can hold: non-finite values, a signed zero,
+# the smallest subnormal, the largest float and a value with no short form
+SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, 0.1)
+
+
+def _per_value(vals) -> str:
+    """A CSV row with one format() call per value."""
+    return ",".join(format(float(v), ".17g") for v in vals) + "\n"
+
+
+def test_csv_rows_equal_the_per_value_format(tmp_path):
+    import numpy as np
+
+    from bfamily2c import DiagRecord, Grid, State
+    from bfamily2c.diagnostics import EXTRA_COLUMNS
+    names = [f.name for f in dataclasses.fields(DiagRecord) if f.name != "step"]
+    records = [DiagRecord(step=j, **{n: SPECIAL[(i + j) % len(SPECIAL)]
+                                     for i, n in enumerate(names)})
+               for j in range(len(SPECIAL))]
+    write_diagnostics_csv(tmp_path / "d.csv", records)
+    write_extras_csv(tmp_path / "e.csv", records)
+    want = ",".join(DIAG_COLUMNS) + "\n" + "".join(
+        _per_value(getattr(r, c.lower()) for c in DIAG_COLUMNS) for r in records)
+    assert (tmp_path / "d.csv").read_bytes() == want.encode()
+    want = ",".join(EXTRA_COLUMNS) + "\n" + "".join(
+        f"{r.step}," + _per_value(getattr(r, c) for c in EXTRA_COLUMNS[1:])
+        for r in records)
+    assert (tmp_path / "e.csv").read_bytes() == want.encode()
+
+    g = Grid(1.0, 16)
+    s = State(0.0, np.stack([np.resize(SPECIAL, g.N), np.resize(SPECIAL[::-1], g.N)]))
+    with np.errstate(all="ignore"):  # m = u - u_xx of these values is nan
+        cli.write_snapshot_csv(tmp_path / "s.csv", s, g)
+        m = g.helmholtz(s.u)
+    want = "x,u,rho,m\n" + "".join(_per_value(row) for row in zip(g.x, s.u, s.rho, m))
+    assert (tmp_path / "s.csv").read_bytes() == want.encode()
 
 
 # ----------------------------------------------------------------------

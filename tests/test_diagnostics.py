@@ -7,18 +7,26 @@ import pytest
 
 import bfamily2c
 from bfamily2c import (Branch, CaseTag, DiagRecord, Grid, ParamStack, State,
-                       SymmetryMode, conservation_check, custom_params,
-                       eval_rhs, gronwall_check_h2, h3_energy_check,
-                       make_params, make_record, riccati_check,
-                       symmetry_residual)
+                       SymmetryMode, Workspace, conservation_check,
+                       custom_params, eval_rhs, gronwall_check_h2,
+                       h3_energy_check, make_params, make_record,
+                       riccati_check, symmetry_residual)
 from bfamily2c.diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS,
                                    _centered_slope, fill_identity_residuals)
 from bfamily2c.stepper import step_rk4
 
 
-def record(s, dt, ps, g, **kwargs):
-    """make_record of the batch s with its evaluation, as a run takes it."""
-    return make_record(s, eval_rhs(s, ps, g, with_rho=True), dt, ps, g, **kwargs)
+def record(states, dt, ps, g, **kwargs):
+    """make_record of the members `states` from the evaluation of their
+    spectra, as a run takes it."""
+    ws = Workspace.for_states(states, g)
+    k = eval_rhs(np.array([s.t for s in states], dtype=float), ws.yh, ps, g, ws)
+    return make_record(k, dt, ps, g, **kwargs)
+
+
+def round_trip(f: np.ndarray, g: Grid) -> np.ndarray:
+    """f as the record reads it: the inverse transform of its spectrum."""
+    return np.fft.irfft(np.fft.rfft(f), n=g.N)
 
 
 def test_csv_schemas_are_frozen():
@@ -42,7 +50,7 @@ def test_package_api_is_frozen():
         "DiagSettings", "EXTRA_COLUMNS", "Framework", "Grid", "InitKind",
         "InitSpec", "Kernel", "ModelParams", "OverflowSignal", "ParamStack",
         "RESOLUTION_TOL", "RunReport", "RunStatus", "State", "StepControl",
-        "SymmetryMode", "Tendency", "Trajectory",
+        "SymmetryMode", "Tendency", "Trajectory", "Workspace",
         "blowup_bound", "build_initial", "choose_dt", "classify_scenario",
         "conservation_check", "custom_params", "eval_rhs",
         "fill_identity_residuals", "gronwall_check_h2", "h3_energy_check",
@@ -78,22 +86,23 @@ def test_symmetry_residual_modes(grid20):
     assert symmetry_residual(s, SymmetryMode.U_ODD_RHO_ODD, grid20).tolist() == [0.0]
 
 
-def test_origin_checks_reads_node_values(grid20, params_b2, batch_of_one):
+def test_origin_checks_reads_node_values(grid20, params_b2):
     # the `origin` check reads these record fields
     u = grid20.x * np.exp(-grid20.x**2)
     rho = np.exp(-grid20.x**2)
-    (oc,) = record(batch_of_one(State(0.0, np.stack([u, rho]))), 0.0,
+    (oc,) = record([State(0.0, np.stack([u, rho]))], 0.0,
                    ParamStack([params_b2]), grid20)
-    assert oc.u0 == 0.0
-    assert oc.rho0 == 1.0
+    j0 = grid20.origin_index
+    assert oc.u0 == round_trip(u, grid20)[j0] and abs(oc.u0) < 1e-15
+    assert oc.rho0 == round_trip(rho, grid20)[j0] == pytest.approx(1.0, abs=1e-15)
     assert abs(oc.uxx0) < 1e-12  # odd profile: even derivative vanishes at 0
 
 
-def test_energy_scalars_formulas(grid20, params_b2, batch_of_one):
+def test_energy_scalars_formulas(grid20, params_b2):
     # recompute every integral with raw numpy on the same spectral pieces
     u = np.exp(-grid20.x**2)
     rho = 0.5 * np.exp(-(grid20.x - 1.0) ** 2)
-    (es,) = record(batch_of_one(State(0.0, np.stack([u, rho]))), 0.0,
+    (es,) = record([State(0.0, np.stack([u, rho]))], 0.0,
                    ParamStack([params_b2]), grid20)
     ux = grid20.derivative(u, 1)
     uxxx = grid20.derivative(u, 3)
@@ -114,10 +123,10 @@ def test_energy_scalars_formulas(grid20, params_b2, batch_of_one):
         + k3 * I(uxxx * (2 * rho * rhoxx - 3 * rhox**2)), rel=1e-12)
 
 
-def test_make_record_composite_fields(grid20, params_b2, batch_of_one):
+def test_make_record_composite_fields(grid20, params_b2):
     u = np.exp(-grid20.x**2)
     rho = 0.4 * np.exp(-grid20.x**2)
-    (r,) = record(batch_of_one(State(0.125, np.stack([u, rho]))), 0.01,
+    (r,) = record([State(0.125, np.stack([u, rho]))], 0.01,
                   ParamStack([params_b2]), grid20, step=7)
     # m_x from the spectrum of u, as the record takes it
     mx = np.fft.irfft(np.fft.rfft(u) * grid20.helm * grid20.ik, n=grid20.N)
@@ -125,7 +134,7 @@ def test_make_record_composite_fields(grid20, params_b2, batch_of_one):
     assert r.t == 0.125 and r.dt == 0.01 and r.step == 7
     assert r.e2 == r.i_m2 + r.i_rho2 + r.i_rhox2
     assert r.e1 == r.i_m2 + i_mx2 + r.i_rho2 + r.i_rhox2 + r.i_rhoxx2
-    assert r.int_rho == grid20.integrate(rho)
+    assert r.int_rho == grid20.integrate(round_trip(rho, grid20))
     assert r.l2_u == pytest.approx(math.sqrt(grid20.integrate(u**2)), rel=1e-12)
     assert r.max_ux == float(np.max(grid20.derivative(u, 1)))
     assert math.isnan(r.transport_res) and math.isnan(r.symmetry_res)
@@ -136,18 +145,20 @@ def test_conv0_nonnegative_for_admissible_coefficients(grid20, rng):
     # Green kernel is positive, so the origin value cannot be negative
     p = make_params(CaseTag.CASE_I, 2.0)
     y = grid20.dealias(rng.standard_normal((5, 2, grid20.N)))
-    for r in record(State(np.zeros(5), y), 0.0, ParamStack([p] * 5), grid20):
+    for r in record([State(0.0, yi) for yi in y], 0.0, ParamStack([p] * 5), grid20):
         assert r.conv0 > -1e-12
 
 
 def test_fill_matches_direct_identity_residuals(grid20, params_b2,
                                                 batch_of_one):
-    s0 = batch_of_one(State(0.0, np.stack([np.exp(-grid20.x**2),
-                                           0.5 * np.exp(-grid20.x**2)])))
+    t, ws = batch_of_one(State(0.0, np.stack([np.exp(-grid20.x**2),
+                                             0.5 * np.exp(-grid20.x**2)])), grid20)
     ps, dt = ParamStack([params_b2]), np.array([1e-2])
-    s1, _ = step_rk4(s0, eval_rhs(s0, ps, grid20), dt, ps, grid20)
-    s2, _ = step_rk4(s1, eval_rhs(s1, ps, grid20), dt, ps, grid20)
-    recs = [r for s in (s0, s1, s2) for r in record(s, 1e-2, ps, grid20)]
+    recs = []
+    for _ in range(3):
+        k = eval_rhs(t, ws.yh, ps, grid20, ws)
+        recs += make_record(k, 1e-2, ps, grid20)
+        t, _ = step_rk4(k, dt, ps, grid20, ws)
     fill_identity_residuals(recs)
     ts = [r.t for r in recs]
     for name in ("m2", "rho2", "rhox2", "rhoxx2"):
@@ -293,19 +304,25 @@ def test_record_matches_per_quantity_reference(N, rng, reference_record):
     states = [State(0.25, np.stack([g.x / 2 * np.exp(-g.x**2 / 4),
                                     0.5 * np.exp(-g.x**2 / 4)])),
               State(0.5, rng.standard_normal((2, N)))]
-    batch = State(np.array([s.t for s in states]), np.stack([s.y for s in states]))
-    records = record(batch, 0.01, ParamStack([p] * 2), g, step=3, hs_order=2.5,
+    records = record(states, 0.01, ParamStack([p] * 2), g, step=3, hs_order=2.5,
                      symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
-    # the node values, the u_x extrema and the norms are the reference's
-    # bit for bit
-    exact = {"ux0", "u0", "uxx0", "rho0", "conv0", "min_ux", "max_ux",
-             "l2_u", "hs_u", "hsm1_rho"}
+    # the record takes the spectrum of each state as is, and reads u and
+    # rho from its inverse transform: the u_x values and the norms are
+    # the reference's bit for bit, the node values those of the
+    # reference on the transformed-back fields
+    spectral = {"ux0", "uxx0", "min_ux", "max_ux", "l2_u", "hs_u", "hsm1_rho"}
+    nodes = {"u0", "rho0"}
+    kw = dict(step=3, hs_order=2.5, symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
     for s, got in zip(states, records):
-        want = reference_record(s, 0.01, p, g, step=3, hs_order=2.5,
-                                symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
+        want = reference_record(s, 0.01, p, g, **kw)
+        read = reference_record(State(s.t, round_trip(s.y, g)), 0.01, p, g, **kw)
         for f in dataclasses.fields(DiagRecord):
             a, b = getattr(got, f.name), getattr(want, f.name)
-            if f.name in exact:
+            if f.name in spectral:
+                assert a == b, f.name
+                continue
+            b = getattr(read, f.name)
+            if f.name in nodes:
                 assert a == b, f.name
             else:
                 assert (math.isnan(a) and math.isnan(b)) \

@@ -7,14 +7,23 @@ any machine, independent of timing.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bfamily2c import (CaseTag, DiagSettings, Grid, ParamStack, RunStatus,
-                       State, StepControl, eval_rhs, init_characteristics,
+from bfamily2c import (CaseTag, DiagSettings, Grid, InitKind, InitSpec,
+                       ParamStack, RunStatus, State, StepControl, Workspace,
+                       build_initial, eval_rhs, init_characteristics,
                        make_params, make_record, run, step_rk4,
                        transport_residual)
+
+# tracemalloc's peak over steady RK4 steps of a batch of one at N=4096
+# (test_steady_steps_allocate_no_stage_temporaries).  It reads ~51 KB,
+# most of it numpy's buffer for the finiteness gate on one stage's
+# tendency; a step that forms its stages from fresh arrays peaks near
+# 1 MB, and one (3, N) stack of float rows alone is 96 KiB
+PEAK_BYTES = 64 * 1024
 
 
 @pytest.fixture
@@ -48,29 +57,27 @@ def _reset(calls, rows, lengths):
     lengths.clear()
 
 
-def test_eval_rhs_takes_seven_transforms(grid20, params_b2, fft_calls):
+def test_eval_rhs_takes_two_transforms(grid20, params_b2, fft_calls,
+                                       batch_of_one):
     calls, rows, _ = fft_calls
-    eval_rhs(_state(grid20), params_b2, grid20)
-    # u, then the stack (u u_x, source, u rho) forward; u_x, then the
-    # stack (du, drho) inverse
-    assert calls == {"rfft": 2, "irfft": 2}
-    assert rows == {"rfft": 4, "irfft": 3}
+    t, ws = batch_of_one(_state(grid20), grid20)
     _reset(calls, rows, [])
-    # an accepted state's evaluation transforms (u, rho) in the first call
-    eval_rhs(_state(grid20), params_b2, grid20, with_rho=True)
-    assert calls == {"rfft": 2, "irfft": 2}
-    assert rows == {"rfft": 5, "irfft": 3}
+    eval_rhs(t, ws.yh, params_b2, grid20, ws)
+    # the stack (u, rho, u_x) inverse, then the stack (u u_x, source,
+    # u rho) forward; the tendency stays in spectral space
+    assert calls == {"rfft": 1, "irfft": 1}
+    assert rows == {"rfft": 3, "irfft": 3}
 
 
 def test_record_takes_one_inverse_transform(grid20, params_b2, fft_calls,
                                             batch_of_one):
     calls, rows, _ = fft_calls
-    s, ps = batch_of_one(_state(grid20)), ParamStack([params_b2])
-    k = eval_rhs(s, ps, grid20, with_rho=True)
+    (t, ws), ps = batch_of_one(_state(grid20), grid20), ParamStack([params_b2])
+    k = eval_rhs(t, ws.yh, ps, grid20, ws)
     _reset(calls, rows, [])
-    make_record(s, k, 0.0, ps, grid20)
-    # u_x and the spectra of u, rho and the source come with k: one
-    # inverse of u_xx, u_xxx, m, m_x, rho_x, rho_xx and conv0's solve
+    make_record(k, 0.0, ps, grid20)
+    # u, rho, u_x and the spectra of u, rho and the source come with k:
+    # one inverse of u_xx, u_xxx, m, m_x, rho_x, rho_xx and conv0's solve
     assert calls == {"rfft": 0, "irfft": 1}
     assert rows == {"rfft": 0, "irfft": 7}
 
@@ -99,15 +106,15 @@ def test_run_evaluates_each_accepted_state_once(grid20, params_b2, fft_calls,
     traj, rep = run(s0, params_b2, StepControl(t_end=0.3), grid20,
                     diag=DiagSettings(every=3, char_stride=0))
     assert rep.status is RunStatus.REACHED_T_END and rep.n_steps > 3
-    # the evaluation of each state gives the step size its u_x, is stage 1
-    # of the next step and feeds the record: the initial state's costs 4
-    # calls on 5 + 3 rows; a step, three stage tendencies (4 calls on
-    # 4 + 3 rows each) and the new state's, 16 calls on 29 rows; a record
-    # one inverse call on 7 rows.  Nothing else differentiates a state
-    # whose dt never collapsed.
+    # the initial state is transformed once (1 call on 2 rows); the
+    # evaluation of each state gives the step size its u and u_x, is
+    # stage 1 of the next step and feeds the record: 2 calls on 3 + 3
+    # rows; a step, three stage evaluations and the new state's, 8
+    # calls on 24 rows; a record one inverse call on 7 rows.  Nothing
+    # else differentiates a state whose dt never collapsed.
     n, r = rep.n_steps, len(traj.records)
-    assert sum(calls.values()) == 16 * n + r + 4
-    assert sum(rows.values()) == 29 * n + 7 * r + 8
+    assert sum(calls.values()) == 8 * n + r + 3
+    assert sum(rows.values()) == 24 * n + 7 * r + 8
     assert derivatives == []
 
 
@@ -122,8 +129,8 @@ def test_run_with_characteristics_adds_one_interpolation_per_stage(
     # stack and an irfft onto the 2N-point fine grid), no derivative;
     # each record adds rho(t) at the labels, the run rho0 there once
     n, r = rep.n_steps, len(traj.records)
-    assert sum(calls.values()) == (16 + 8) * n + (1 + 2) * r + 4 + 2
-    assert sum(rows.values()) == (29 + 16) * n + (7 + 2) * r + 8 + 2
+    assert sum(calls.values()) == (8 + 8) * n + (1 + 2) * r + 3 + 2
+    assert sum(rows.values()) == (24 + 16) * n + (7 + 2) * r + 8 + 2
     assert lengths.count(2 * grid20.N) == 4 * n + r + 1
 
 
@@ -137,30 +144,31 @@ def test_resolution_stop_takes_no_transform(grid20, params_b2, fft_calls):
     # the tails of u and rho come from the spectrum of the state's
     # evaluation: the counts of the bare run
     n, r = rep.n_steps, len(traj.records)
-    assert calls == {"rfft": 8 * n + 2, "irfft": 8 * n + r + 2}
-    assert sum(rows.values()) == 29 * n + 7 * r + 8
+    assert calls == {"rfft": 4 * n + 2, "irfft": 4 * n + r + 1}
+    assert sum(rows.values()) == 24 * n + 7 * r + 8
 
 
 def test_batch_takes_the_calls_of_one_member(grid20, fft_calls):
     calls, rows, _ = fft_calls
     s = _state(grid20)
-    batch = State(np.zeros(3), np.stack([s.y, 2.0 * s.y, 0.5 * s.y]))
+    ws = Workspace.for_states([s, State(0.0, 2.0 * s.y), State(0.0, 0.5 * s.y)],
+                              grid20)
     ps = ParamStack([make_params(CaseTag.CASE_I, b) for b in (1.5, 2.0, 3.0)])
-    k1 = eval_rhs(batch, ps, grid20, with_rho=True)
-    # the 4 calls of eval_rhs; its 5 forward and 3 inverse rows once per
+    _reset(calls, rows, [])
+    k1 = eval_rhs(np.zeros(3), ws.yh, ps, grid20, ws)
+    # the 2 calls of eval_rhs; its 3 inverse and 3 forward rows once per
     # member
-    assert calls == {"rfft": 2, "irfft": 2}
-    assert rows == {"rfft": 3 * 5, "irfft": 3 * 3}
+    assert calls == {"rfft": 1, "irfft": 1}
+    assert rows == {"rfft": 3 * 3, "irfft": 3 * 3}
     _reset(calls, rows, [])
-    step_rk4(batch, k1, np.array([1e-3, 2e-3, 3e-3]), ps, grid20)
-    # three stage tendencies, each 4 calls on 4 forward and 3 inverse
-    # rows per member
-    assert calls == {"rfft": 6, "irfft": 6}
-    assert rows == {"rfft": 3 * 12, "irfft": 3 * 9}
-    _reset(calls, rows, [])
-    make_record(batch, k1, [0.1, 0.2, 0.3], ps, grid20)
+    make_record(k1, [0.1, 0.2, 0.3], ps, grid20)
     assert calls == {"rfft": 0, "irfft": 1}
     assert rows == {"rfft": 0, "irfft": 3 * 7}
+    _reset(calls, rows, [])
+    step_rk4(k1, np.array([1e-3, 2e-3, 3e-3]), ps, grid20, ws)
+    # three stage evaluations, each 2 calls on 3 + 3 rows per member
+    assert calls == {"rfft": 3, "irfft": 3}
+    assert rows == {"rfft": 3 * 9, "irfft": 3 * 9}
 
 
 @pytest.mark.parametrize("N", [64, 256, 1024, 4096])
@@ -174,13 +182,39 @@ def test_batched_transforms_match_single_rows(N, rng):
         back = np.fft.irfft(fh, n=N)
         assert all(np.array_equal(back[i], np.fft.irfft(fh[i], n=N))
                    for i in range(B))
-    # so the evaluation of an accepted state, which transforms (u, rho)
-    # together, gives each stage the bits of the u-only form
+    # so a batch's evaluation, written through the strided views of its
+    # Workspace, gives each member the bits of its evaluation alone
     g = Grid(20.0, N)
-    for B in (1, 3):
-        ps = ParamStack([make_params(CaseTag.CASE_I, b) for b in (1.5, 2.0, 3.0)[:B]])
-        s = State(np.zeros(B), g.dealias(rng.standard_normal((B, 2, N))))
-        k, k_rho = eval_rhs(s, ps, g), eval_rhs(s, ps, g, with_rho=True)
-        assert np.array_equal(k_rho.dy, k.dy) and np.array_equal(k_rho.ux, k.ux)
-        assert np.array_equal(k_rho.sh, k.sh)
-        assert np.array_equal(k_rho.yh[:, :1], k.yh)
+    members = [make_params(CaseTag.CASE_I, b) for b in (1.5, 2.0, 3.0)]
+    states = [State(0.0, y) for y in g.dealias(rng.standard_normal((3, 2, N)))]
+    ws = Workspace.for_states(states, g)
+    k = eval_rhs(np.zeros(3), ws.yh, ParamStack(members), g, ws)
+    for i, (s, p) in enumerate(zip(states, members)):
+        wi = Workspace.for_states([s], g)
+        ki = eval_rhs(np.zeros(1), wi.yh, ParamStack([p]), g, wi)
+        for name in ("yh", "dyh", "fields", "ph"):
+            assert np.array_equal(getattr(k, name)[i], getattr(ki, name)[0]), name
+
+
+def test_steady_steps_allocate_no_stage_temporaries(rng):
+    # every per-step array lives in the run's Workspace: over 50 steps
+    # of the breaking data at N=4096 the traced peak stays under
+    # PEAK_BYTES
+    g = Grid(10.0, 4096)
+    s0 = build_initial(InitSpec(InitKind.ODD_GAUSSIAN),
+                       InitSpec(InitKind.EVEN_BUMP_ZERO_AT_ORIGIN, amplitude=0.5), g)
+    ps, dt = ParamStack([make_params(CaseTag.CASE_I, 2.0)]), np.array([1e-3])
+    ws = Workspace.for_states([s0], g)
+    k = eval_rhs(np.zeros(1), ws.yh, ps, g, ws)
+    for _ in range(2):  # numpy's FFT plan caches fill on the first calls
+        t, _ = step_rk4(k, dt, ps, g, ws)
+        k = eval_rhs(t, ws.yh, ps, g, ws)
+    tracemalloc.start()
+    try:
+        for _ in range(50):
+            t, _ = step_rk4(k, dt, ps, g, ws)
+            k = eval_rhs(t, ws.yh, ps, g, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BYTES, peak

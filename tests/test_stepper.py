@@ -7,8 +7,9 @@ import pytest
 from bfamily2c import (CaseTag, DiagSettings, Framework, Grid, InitKind,
                        InitSpec, OverflowSignal, ParamStack, RunStatus, State,
                        StepControl, SymmetryMode, build_initial, choose_dt,
-                       custom_params, eval_rhs, init_characteristics,
-                       make_params, run, run_batch, step_rk4)
+                       Workspace, custom_params, eval_rhs,
+                       init_characteristics, make_params, run, run_batch,
+                       step_rk4)
 from bfamily2c import stepper
 
 
@@ -68,59 +69,66 @@ def test_step_control_validation(kwargs):
 # ----------------------------------------------------------------------
 # the RK4 step
 
+def _step(t, ws, ps, g, dt, char=None):
+    """One RK4 step of the batch in ws from its own evaluation."""
+    return step_rk4(eval_rhs(t, ws.yh, ps, g, ws), dt, ps, g, ws, char=char)
+
+
 def test_step_rk4_fourth_order(grid20, params_b2, batch_of_one):
     def advance(dt, t_end=0.2):
-        s, ps = batch_of_one(smooth_state(grid20)), ParamStack([params_b2])
+        (t, ws), ps = batch_of_one(smooth_state(grid20), grid20), ParamStack([params_b2])
         for _ in range(round(t_end / dt)):
-            s, _ = step_rk4(s, eval_rhs(s, ps, grid20), np.array([dt]), ps, grid20)
-        return s
+            t, _ = _step(t, ws, ps, grid20, np.array([dt]))
+        return np.fft.irfft(ws.yh[0], n=grid20.N)
 
     ref = advance(5e-4)
     errs = []
     for dt in (8e-3, 4e-3, 2e-3):
-        s = advance(dt)
-        errs.append(np.max(np.abs(s.u - ref.u)) + np.max(np.abs(s.rho - ref.rho)))
+        y = advance(dt)
+        errs.append(np.max(np.abs(y[0] - ref[0])) + np.max(np.abs(y[1] - ref[1])))
     assert 13.0 < errs[0] / errs[1] < 20.0
     assert 13.0 < errs[1] / errs[2] < 20.0
 
 
 def test_step_rk4_validates_dt(grid20, params_b2, batch_of_one):
-    s, ps = batch_of_one(smooth_state(grid20)), ParamStack([params_b2])
+    (t, ws), ps = batch_of_one(smooth_state(grid20), grid20), ParamStack([params_b2])
     with pytest.raises(ValueError):
-        step_rk4(s, eval_rhs(s, ps, grid20), np.array([0.0]), ps, grid20)
+        _step(t, ws, ps, grid20, np.array([0.0]))
 
 
 def test_step_rk4_overflow_signal(grid20, params_b2, batch_of_one):
     # u = 1e200 overflows in k1, which the caller gates, so the step's
     # first gate to see it is stage 1's
     s = State(0.0, np.stack([np.full(grid20.N, 1e200), np.zeros(grid20.N)]))
-    b, ps = batch_of_one(s), ParamStack([params_b2])
+    (t, ws), ps = batch_of_one(s, grid20), ParamStack([params_b2])
     with pytest.raises(OverflowSignal) as exc:
-        step_rk4(b, eval_rhs(b, ps, grid20), np.array([1e-3]), ps, grid20)
+        _step(t, ws, ps, grid20, np.array([1e-3]))
     assert exc.value.stage_index == 1
     assert exc.value.rows.tolist() == [True]
-    # the signal marks each member whose tendency is not finite
-    ok = smooth_state(grid20).y
-    batch = State(np.zeros(3), np.stack([ok, s.y, ok]))
-    ps = ParamStack([params_b2] * 3)
+    # the signal marks each member whose tendency is not finite, and
+    # leaves the spectra alone
+    ok = smooth_state(grid20)
+    ws = Workspace.for_states([ok, s, ok], grid20)
+    yh0, ps = ws.yh.copy(), ParamStack([params_b2] * 3)
     with pytest.raises(OverflowSignal) as exc:
-        step_rk4(batch, eval_rhs(batch, ps, grid20), np.full(3, 1e-3), ps, grid20)
+        _step(np.zeros(3), ws, ps, grid20, np.full(3, 1e-3))
     assert exc.value.stage_index == 1
     assert exc.value.rows.tolist() == [False, True, False]
+    assert np.array_equal(ws.yh, yh0)
 
 
 def test_step_rk4_characteristics_leave_the_state_alone(grid20, params_b2,
                                                         batch_of_one):
     # the characteristics ride the PDE's stages without feeding back
-    s = batch_of_one(smooth_state(grid20))
-    ps, dt = ParamStack([params_b2]), np.array([1e-2])
-    k1 = eval_rhs(s, ps, grid20)
-    out, none = step_rk4(s, k1, dt, ps, grid20)
+    (t, ws), ps, dt = batch_of_one(smooth_state(grid20), grid20), \
+        ParamStack([params_b2]), np.array([1e-2])
+    (_, ws_c) = batch_of_one(smooth_state(grid20), grid20)
+    t_new, none = _step(t, ws, ps, grid20, dt)
     assert none is None
-    c = init_characteristics(s.rho[0], params_b2, grid20)
-    out_c, (c,) = step_rk4(s, k1, dt, ps, grid20, char=[c])
-    assert np.array_equal(out_c.y, out.y)
-    assert out_c.t.tolist() == out.t.tolist() == [c.t] == [1e-2]
+    c = init_characteristics(smooth_state(grid20).rho, params_b2, grid20)
+    t_c, (c,) = _step(t, ws_c, ps, grid20, dt, char=[c])
+    assert np.array_equal(ws_c.yh, ws.yh)
+    assert t_c.tolist() == t_new.tolist() == [c.t] == [1e-2]
     assert np.all(np.isfinite(c.q)) and np.all(c.qx > 0.0)
 
 
@@ -130,27 +138,50 @@ def test_step_rk4_evaluates_each_stage_at_its_time(grid20, params_b2,
     # every stage integrates it to first order only
     times, real = [], stepper.eval_rhs
 
-    def spy(s, *args, **kwargs):
-        times.append(s.t.tolist())
-        return real(s, *args, **kwargs)
+    def spy(t, *args, **kwargs):
+        times.append(t.tolist())
+        return real(t, *args, **kwargs)
 
-    def overflow(s, *args, **kwargs):
-        k = real(s, *args, **kwargs)
-        k.dy[0, 1, 3] = np.inf
+    def overflow(*args, **kwargs):
+        k = real(*args, **kwargs)
+        k.dyh[0, 1, 3] = np.inf
         return k
 
-    s = batch_of_one(State(0.25, smooth_state(grid20).y))
-    ps, dt = ParamStack([params_b2]), np.array([1e-2])
+    (t, ws), ps, dt = batch_of_one(State(0.25, smooth_state(grid20).y), grid20), \
+        ParamStack([params_b2]), np.array([1e-2])
     monkeypatch.setattr(stepper, "eval_rhs", spy)
-    step_rk4(s, spy(s, ps, grid20), dt, ps, grid20)
+    step_rk4(spy(t, ws.yh, ps, grid20, ws), dt, ps, grid20, ws)
     assert times == [[0.25], [0.25 + 0.5e-2], [0.25 + 0.5e-2], [0.25 + 1e-2]]
     # an overflow in a later stage names that stage's time
     monkeypatch.setattr(stepper, "eval_rhs", overflow)
     with pytest.raises(OverflowSignal) as exc:
-        step_rk4(s, real(s, ps, grid20), dt, ps, grid20)
+        step_rk4(real(t, ws.yh, ps, grid20, ws), dt, ps, grid20, ws)
     assert exc.value.stage_index == 1
     assert exc.value.t.tolist() == [0.25 + 0.5e-2]
     assert exc.value.rows.tolist() == [True]
+
+
+def test_dealiased_run_keeps_the_dropped_bins_of_the_start(grid20, params_b2,
+                                                          monkeypatch, rng):
+    # the tendencies and the combine touch only the bins below n_keep,
+    # so every accepted spectrum keeps the others of rfft(y0) bit for
+    # bit; rho's mean bin never changes either, so int rho dx is exact
+    accepted, real = [], stepper.eval_rhs
+
+    def spy(t, yh, p, g, ws=None, stage=0):
+        if stage == 0:
+            accepted.append(yh[0].copy())
+        return real(t, yh, p, g, ws, stage)
+
+    monkeypatch.setattr(stepper, "eval_rhs", spy)
+    y0 = np.exp(-grid20.x**2) * (1.0 + 1e-3 * rng.standard_normal((2, grid20.N)))
+    _, rep = run(State(0.0, y0), params_b2, StepControl(t_end=0.5), grid20,
+                 diag=DiagSettings(char_stride=0))
+    yh0, K = np.fft.rfft(y0), grid20.n_keep
+    assert len(accepted) == rep.n_steps + 1 > 10
+    assert all(np.array_equal(yh[:, K:], yh0[:, K:]) for yh in accepted)
+    assert all(yh[1, 0] == yh0[1, 0] for yh in accepted)
+    assert not np.array_equal(accepted[-1][:, 1:K], yh0[:, 1:K])
 
 
 # ----------------------------------------------------------------------
@@ -189,12 +220,16 @@ def test_run_snapshots(grid20, params_b2):
 
 
 def test_run_is_deterministic(grid20, params_b2):
-    ctl = StepControl(t_end=0.1)
-    t1, _ = run(smooth_state(grid20), params_b2, ctl, grid20)
-    t2, _ = run(smooth_state(grid20), params_b2, ctl, grid20)
-    assert len(t1.records) == len(t2.records)
-    for a, b in zip(t1.records, t2.records):
-        assert a.e1 == b.e1 and a.max_ux == b.max_ux and a.hs_u == b.hs_u
+    # two runs on one Grid, each in its own Workspace: nothing leaks from
+    # the first into the second
+    ctl, diag = StepControl(t_end=0.1), DiagSettings(snapshot_every=3)
+    t1, r1 = run(smooth_state(grid20), params_b2, ctl, grid20, diag)
+    t2, r2 = run(smooth_state(grid20), params_b2, ctl, grid20, diag)
+    assert r1 == r2
+    assert [repr(r) for r in t1.records] == [repr(r) for r in t2.records]
+    assert [(n, s.t) for n, s in t1.snapshots] == [(n, s.t) for n, s in t2.snapshots]
+    assert all(np.array_equal(a.y, b.y)
+               for (_, a), (_, b) in zip(t1.snapshots, t2.snapshots))
 
 
 def test_run_overflow_status(grid20, params_b2):
