@@ -29,7 +29,7 @@ from .stepper import (RESOLUTION_TOL, DiagSettings, OverflowSignal, RunReport,
                       RunStatus, StepControl, Trajectory, choose_dt, run,
                       run_batch, step_rk4)
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "Branch", "CaseTag", "CharField", "DIAG_COLUMNS", "DiagRecord",

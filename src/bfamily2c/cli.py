@@ -28,7 +28,6 @@ import operator
 import os
 import sys
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum, EnumMeta
 from pathlib import Path
@@ -208,7 +207,6 @@ class OutputSettings:
     diag_every: int = 1
     snapshot_every: int = 0
     char_label_stride: int = 4
-    hs_order: float = 2.0
 
     def __post_init__(self) -> None:
         if self.diag_every < 1:
@@ -433,13 +431,10 @@ def read_records(diag_path: Path, extras_path: Path) -> list[DiagRecord]:
         raise ValueError(f"{diag_path} has no records")
     if len(diag_rows) != len(extra_rows):
         raise ValueError("diagnostics and extras row counts differ")
-    records = []
-    for drow, erow in zip(diag_rows, extra_rows):
-        kw = {c.lower(): float(v) for c, v in zip(DIAG_COLUMNS, drow)}
-        kw.update({c: float(v) for c, v in zip(EXTRA_COLUMNS[1:], erow[1:])})
-        kw["step"] = int(erow[0])
-        records.append(DiagRecord(**kw))
-    return records
+    return [DiagRecord(step=int(erow[0]),
+                       **{c.lower(): float(v) for c, v in zip(DIAG_COLUMNS, drow)},
+                       **{c: float(v) for c, v in zip(EXTRA_COLUMNS[1:], erow[1:])})
+            for drow, erow in zip(diag_rows, extra_rows)]
 
 
 def _sha256(path: Path) -> str:
@@ -487,7 +482,6 @@ def _initial_state(setup: RunSetup) -> State:
 def _diag_settings(setup: RunSetup) -> DiagSettings:
     return DiagSettings(
         every=setup.outputs.diag_every,
-        hs_order=setup.outputs.hs_order,
         symmetry_mode=setup.checks.symmetry_mode,
         char_stride=setup.outputs.char_label_stride,
         snapshot_every=setup.outputs.snapshot_every,
@@ -528,13 +522,6 @@ def write_run(setup: RunSetup, out_dir: Path, traj: Trajectory,
     return manifest
 
 
-def execute_run(setup: RunSetup, out_dir: Path) -> tuple[Trajectory, RunReport, dict]:
-    """Build, integrate, write artifacts; returns (trajectory, report, manifest)."""
-    traj, report = run(_initial_state(setup), setup.params, setup.control,
-                       setup.grid, diag=_diag_settings(setup))
-    return traj, report, write_run(setup, out_dir, traj, report)
-
-
 def _load_json(path: str) -> dict:
     """Read a JSON object; malformed JSON or another root is a ConfigError."""
     with open(path) as fh:
@@ -553,7 +540,9 @@ def cmd_run(config_path: str, directory: str | None = None) -> int:
         setup = parse_config(_load_json(config_path))
         if directory is not None:
             setup.outputs.directory = directory
-        traj, report, manifest = execute_run(setup, Path(setup.outputs.directory))
+        traj, report = run(_initial_state(setup), setup.params, setup.control,
+                           setup.grid, diag=_diag_settings(setup))
+        manifest = write_run(setup, Path(setup.outputs.directory), traj, report)
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return EXIT_CONFIG
@@ -573,6 +562,10 @@ def _verify_manifest(manifest_dir: Path, manifest: dict) -> tuple[bool, list[str
     files = manifest.get("files", {})
     if not isinstance(files, dict):
         raise ConfigError("manifest 'files' must be an object")
+    # another version's CSVs may have other columns: refuse before reading
+    if manifest.get("version") != __version__:
+        raise ConfigError(f"manifest version {manifest.get('version')!r} is not "
+                          f"this bfamily2c's version {__version__!r}")
     csvs = {"diagnostics.csv", "extras.csv"}
     required = csvs | {path.name for path in manifest_dir.glob("snap_*.csv")}
     problems += [f"no hash for {name}" for name in sorted(required - set(files))]
@@ -608,7 +601,7 @@ def _verify_manifest(manifest_dir: Path, manifest: dict) -> tuple[bool, list[str
             problems.append(f"check '{name}' enabled flag differs")
             continue
         if not val["enabled"]:
-            continue  # older manifests kept details of disabled checks
+            continue  # a disabled check has no verdict or details
         if bool(stored[name]["passed"]) != bool(val["passed"]):
             problems.append(f"check '{name}' verdict differs "
                             f"(stored={stored[name]['passed']}, "
@@ -665,6 +658,12 @@ class SweepSettings:
         for name in ("case", "b", "amplitude"):
             if not getattr(self, name):
                 raise ValueError(f"{name} is empty, so the sweep has no runs")
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """The sweep's pool, imported on use: run and check load no multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 # A sweep job steps at most this many state values (B * 2 * N) as one

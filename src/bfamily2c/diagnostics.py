@@ -26,11 +26,12 @@ from .model import (Branch, Framework, ModelParams, ParamStack,
                     classify_scenario)
 from .spectral import Grid
 
-# column order of the diagnostics CSV (stable, tested byte-wise)
+# column order of the CSVs (stable, tested byte-wise); README's Outputs
+# section names the check that reads each column, or why it is kept
 DIAG_COLUMNS = (
-    "t", "dt", "l2_u", "hs_u", "hsm1_rho", "min_ux", "max_ux", "sup_rho",
-    "sup_rhox", "E1", "E2", "int_rho", "R_m2", "R_rho2", "R_rhox2",
-    "R_rhoxx2", "transport_res", "symmetry_res",
+    "t", "dt", "h1_u", "min_ux", "max_ux", "sup_rho", "sup_rhox", "E1", "E2",
+    "int_rho", "R_m2", "R_rho2", "R_rhox2", "R_rhoxx2", "transport_res",
+    "symmetry_res",
 )
 EXTRA_COLUMNS = (
     "step", "u0", "ux0", "uxx0", "rho0", "conv0", "qx_min",
@@ -57,17 +58,15 @@ class DiagRecord:
       d/dt int rho_x^2  = 3 k3 int u_x rho_x^2 - k3 int u_xxx rho^2
       d/dt int rho_xx^2 = 5 k3 int u_x rho_xx^2
                           + k3 int u_xxx (2 rho rho_xx - 3 rho_x^2)
-    and E1 = int(m^2 + m_x^2 + rho^2 + rho_x^2 + rho_xx^2).  The
-    residual fields r_* are filled in a post-pass once both time
+    E1 = int(m^2 + m_x^2 + rho^2 + rho_x^2 + rho_xx^2), h1_u = int(u^2 + u_x^2).
+    The residual fields r_* are filled in a post-pass once both time
     neighbors exist, and stay 0.0 on the first and last record.
     """
 
     step: int
     t: float
     dt: float
-    l2_u: float
-    hs_u: float
-    hsm1_rho: float
+    h1_u: float
     min_ux: float
     max_ux: float
     sup_rho: float
@@ -124,7 +123,6 @@ def make_record(
     p: ParamStack,
     g: Grid,
     step: int = 0,
-    hs_order: float = 2.0,
     symmetry_mode: SymmetryMode | None = None,
     transport_res: float | Sequence[float] = math.nan,
     qx_min: float | Sequence[float] = math.nan,
@@ -175,10 +173,7 @@ def make_record(
         step=step,
         t=k.t,
         dt=dt,
-        # fmax is Python's max(0, .): a nan norm reads 0
-        l2_u=np.sqrt(np.fmax(0.0, g.spectrum_norm_sq(uh, 0.0))),
-        hs_u=np.sqrt(np.fmax(0.0, g.spectrum_norm_sq(uh, hs_order))),
-        hsm1_rho=np.sqrt(np.fmax(0.0, g.spectrum_norm_sq(rh, hs_order - 1.0))),
+        h1_u=g.spectrum_norm_sq(uh, 1.0),
         min_ux=ux.min(axis=-1),
         max_ux=ux.max(axis=-1),
         sup_rho=np.abs(rho).max(axis=-1),

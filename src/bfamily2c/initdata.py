@@ -60,6 +60,8 @@ class InitSpec:
             raise ValueError("table requires table_path")
 
 
+# y^2 may overflow off the center, where e^{-y^2} = 0; build_initial rejects nan
+@np.errstate(over="ignore", invalid="ignore")
 def profile(spec: InitSpec, g: Grid) -> np.ndarray:
     """Sample one canonical profile on the grid."""
     a, w, c = spec.amplitude, spec.width, spec.center
@@ -109,6 +111,13 @@ def build_initial(spec_u: InitSpec, spec_rho: InitSpec, g: Grid) -> State:
     each node x > -L has its mirror), so the parity claims of the odd
     and even families hold exactly in floating point.
     """
+    for spec, name in ((spec_u, "u"), (spec_rho, "rho")):
+        while spec is not None:  # the profile, then its m0 if it has one
+            # a center off the domain leaves a profile that is zero on the grid
+            if not abs(spec.center) <= g.L:
+                raise ValueError(f"{name}.center = {spec.center!r} lies outside "
+                                 f"[-L, L] = [{-g.L!r}, {g.L!r}]")
+            spec, name = spec.m0_spec, f"{name}.m0"
     y0 = np.stack([profile(spec_u, g), profile(spec_rho, g)])
     for f, name in zip(y0, ("u", "rho")):
         _check_boundary_decay(f, name, g)

@@ -180,8 +180,6 @@ class Grid:
 
     def spectrum_norm_sq(self, fh: np.ndarray, s: float) -> np.ndarray:
         """sobolev_norm_sq of each row of the spectra fh (..., N/2 + 1)."""
-        if not np.isfinite(s):
-            raise ValueError("Sobolev index s must be finite")
         power = self.helm**s * np.abs(fh) ** 2
         return 2.0 * self.L * _parseval_sum(power) / self.N**2
 

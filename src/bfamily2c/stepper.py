@@ -248,7 +248,6 @@ class DiagSettings:
     """What the run loop records, and how often."""
 
     every: int = 1                  # diagnostic record cadence in steps
-    hs_order: float = 2.0           # s of the monitored H^s norm of u
     symmetry_mode: SymmetryMode | None = None
     char_stride: int = 4            # 0 disables characteristics
     snapshot_every: int = 0         # 0 disables field snapshots
@@ -346,7 +345,7 @@ def run_batch(
     ps = ParamStack(params)
     ws = Workspace.for_states(states, g, ctl.dealias)
     n_steps = 0
-    t_eps = 1e-12 * max(1.0, ctl.t_end)
+    t_eps = 1e-12 * ctl.t_end  # relative: t_end may be below 1e-12
 
     def record(idx: list[int], rk: Tendency, dt, step: int) -> None:
         """One make_record of the members idx, evaluated by rk."""
@@ -357,8 +356,7 @@ def run_batch(
                         else transport_residual(State(t=t, y=y), c, members[i].p, g))
             qxmin.append(math.nan if c is None else float(np.min(c.qx)))
         recs = make_record(rk, dt, ParamStack([members[i].p for i in idx]), g,
-                           step=step, hs_order=diag.hs_order,
-                           symmetry_mode=diag.symmetry_mode,
+                           step=step, symmetry_mode=diag.symmetry_mode,
                            transport_res=tres, qx_min=qxmin, ws=ws)
         for i, rec in zip(idx, recs):
             members[i].traj.records.append(rec)

@@ -1,14 +1,20 @@
 import dataclasses
+import hashlib
+import itertools
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from concurrent.futures import Future
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import bfamily2c
 from bfamily2c import (CaseTag, Framework, InitKind, RunReport, RunStatus,
                        SymmetryMode, make_params)
 from bfamily2c import cli
@@ -16,7 +22,7 @@ from bfamily2c.cli import (SWEEP_COLUMNS, CheckSettings, ConfigError,
                            config_echo, main, parse_config, read_records,
                            slope_bound_payload, write_diagnostics_csv,
                            write_extras_csv)
-from bfamily2c.diagnostics import DIAG_COLUMNS
+from bfamily2c.diagnostics import DIAG_COLUMNS, EXTRA_COLUMNS
 
 
 def base_config(**overrides):
@@ -155,7 +161,7 @@ def test_records_csv_round_trip(tmp_path, grid20, params_b2):
     back = read_records(dpath, epath)
     assert len(back) == len(traj.records)
     for a, b in zip(traj.records, back):
-        for col in ("t", "dt", "hs_u", "min_ux", "e1", "e2", "int_rho",
+        for col in ("t", "dt", "h1_u", "min_ux", "e1", "e2", "int_rho",
                     "r_m2", "r_rhoxx2", "transport_res", "symmetry_res",
                     "ux0", "conv0", "qx_min", "s_rhoxx2"):
             va, vb = getattr(a, col), getattr(b, col)
@@ -177,7 +183,6 @@ def test_csv_rows_equal_the_per_value_format(tmp_path):
     import numpy as np
 
     from bfamily2c import DiagRecord, Grid, State
-    from bfamily2c.diagnostics import EXTRA_COLUMNS
     names = [f.name for f in dataclasses.fields(DiagRecord) if f.name != "step"]
     records = [DiagRecord(step=j, **{n: SPECIAL[(i + j) % len(SPECIAL)]
                                      for i, n in enumerate(names)})
@@ -259,7 +264,7 @@ def test_cmd_run_detects_tampering(tmp_path, capsys):
     # a CSV that no longer parses is tampering too, not a config error
     cases = {
         "value": {"diagnostics.csv": edit_value},
-        "header": {"diagnostics.csv": lambda t: t.replace("l2_u", "l2u", 1)},
+        "header": {"diagnostics.csv": lambda t: t.replace("h1_u", "h1u", 1)},
         "last_row": {"extras.csv":
                      lambda t: "".join(t.splitlines(keepends=True)[:-1])},
         "no_rows": {"diagnostics.csv": header_only, "extras.csv": header_only},
@@ -277,10 +282,10 @@ def test_check_requires_every_artifact_hash(tmp_path, capsys):
     cfg_path = run_config(tmp_path)
     assert main(["run", str(cfg_path)]) == 0
 
-    def edit_hs_u(text):
-        # hs_u enters no check, so only its hash can expose the edit
+    def edit_h1_u(text):
+        # h1_u enters no check, so only its hash can expose the edit
         lines = text.splitlines()
-        col = lines[0].split(",").index("hs_u")
+        col = lines[0].split(",").index("h1_u")
         row = lines[1].split(",")
         row[col] = "123.0"
         lines[1] = ",".join(row)
@@ -295,7 +300,7 @@ def test_check_requires_every_artifact_hash(tmp_path, capsys):
         return edit
 
     cases = {
-        "emptied": ({"diagnostics.csv": edit_hs_u,
+        "emptied": ({"diagnostics.csv": edit_h1_u,
                      "manifest.json": drop_hashes()},
                     ["diagnostics.csv", "extras.csv", "snap_0.csv",
                      "snap_1.csv"]),
@@ -392,13 +397,14 @@ def test_malformed_json_roots_are_config_errors(tmp_path, caplog, command,
 
 
 @pytest.mark.parametrize("section,key,value", [
-    ("outputs", "hs_order", math.nan),
+    ("control", "dt_max", math.nan),
     ("checks", "gronwall_slack", math.nan),
     ("model", "b", 10**400),
 ])
 def test_non_finite_float_field_is_a_config_error(tmp_path, caplog,
                                                   section, key, value):
-    # json reads NaN; a NaN order crashes the run, and a NaN slack makes
+    # json reads NaN; a NaN fails every comparison, so a step bound would
+    # meet a range test's message instead of this one, and a NaN slack makes
     # every violation test false, so the check would pass vacuously.  An
     # integer past float range crashed the conversion to float.
     cfg = base_config()
@@ -406,6 +412,45 @@ def test_non_finite_float_field_is_a_config_error(tmp_path, caplog,
     assert main(["run", str(write_config(tmp_path, cfg))]) == 2
     assert f"field '{section}.{key}' must be finite" in caplog.text
     assert not (tmp_path / "out").exists()
+
+
+def test_removed_hs_order_is_an_unknown_field(tmp_path, caplog):
+    cfg = base_config(outputs={"directory": str(tmp_path / "out"), "hs_order": 2.0})
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert "unknown field 'outputs.hs_order'" in caplog.text
+
+
+@pytest.mark.parametrize("center", [50, -20.5, 1e200])
+def test_profile_center_off_the_domain_is_a_config_error(tmp_path, caplog,
+                                                         center):
+    # such a profile is zero on the grid, so the run went green on u = 0;
+    # the largest center also overflowed in the profile
+    cfg = base_config(outputs={"directory": str(tmp_path / "out")})
+    cfg["initial"]["u"]["center"] = center
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert re.search(r"initial: u\.center = \S+ lies outside \[-L, L\]",
+                     caplog.text)
+    assert not (tmp_path / "out").exists()
+
+
+def test_profile_of_a_tiny_width_runs_red_without_warnings(tmp_path):
+    # y^2 passes float range off the center, so u is one spike: the run
+    # goes on, and its checks fail
+    cfg = base_config(outputs={"directory": str(tmp_path / "out")})
+    cfg["initial"]["u"]["width"] = 1e-200
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+
+
+def test_run_and_check_do_not_load_the_process_pool():
+    # the sweep imports its pool when it opens it
+    src = str(Path(bfamily2c.__file__).parents[1])
+    code = ("import sys, bfamily2c.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent'))))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def sweep_config(tmp_path):
@@ -629,14 +674,18 @@ def run_tiny(tmp_path: Path, name: str, cfg: dict) -> tuple[int, dict, Path]:
     return code, json.loads(path.read_text()), path
 
 
-def test_manifest_layout_every_check_enabled(tmp_path):
+def every_check_config(**overrides) -> dict:
     cfg = base_config(checks={"transport": True,
                               "symmetry_mode": "u_odd_rho_even",
-                              "riccati": True, "h3_energy": True})
+                              "riccati": True, "h3_energy": True}, **overrides)
     cfg["control"]["t_end"] = 0.15
     cfg["initial"]["u"]["kind"] = "odd_gaussian"
     cfg["initial"]["rho"]["kind"] = "even_bump_zero_at_origin"
-    code, manifest, path = run_tiny(tmp_path, "on", cfg)
+    return cfg
+
+
+def test_manifest_layout_every_check_enabled(tmp_path):
+    code, manifest, path = run_tiny(tmp_path, "on", every_check_config())
     checks = manifest["checks"]
     assert list(checks) == list(CHECK_KEYS)
     for name, keys in CHECK_KEYS.items():
@@ -652,6 +701,80 @@ def test_manifest_layout_every_check_enabled(tmp_path):
     assert list(manifest["slope_bound"]) == SLOPE_KEYS
     assert manifest["slope_bound"]["applicable"] is True
     assert main(["check", str(path)]) == code
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_column_readers() -> dict[str, str]:
+    """The 'read by' cell of each CSV column in README's Outputs table."""
+    section = README.read_text().split("## Outputs", 1)[1].split("\n## ", 1)[0]
+    readers = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip("|").split("|")]
+        if len(cells) == 4 and cells[1] in ("diagnostics", "extras"):
+            readers.update(dict.fromkeys(re.findall(r"`(\w+)`", cells[0]),
+                                         cells[3]))
+    return readers
+
+
+def restamped(out: Path, dest: Path, name: str, col: int, value: str) -> Path:
+    """A copy of run directory `out` whose CSV `name` holds `value` in
+    column `col` of its middle row, with the file's hash in the manifest
+    updated to match; returns the copy's manifest."""
+    shutil.copytree(out, dest)
+    lines = (dest / name).read_text().splitlines()
+    row = lines[len(lines) // 2].split(",")
+    row[col] = value
+    lines[len(lines) // 2] = ",".join(row)
+    (dest / name).write_text("\n".join(lines) + "\n")
+    manifest = json.loads((dest / "manifest.json").read_text())
+    manifest["files"][name] = hashlib.sha256((dest / name).read_bytes()).hexdigest()
+    (dest / "manifest.json").write_text(json.dumps(manifest))
+    return dest / "manifest.json"
+
+
+def test_every_csv_column_is_read_by_a_check_or_documented(tmp_path, capsys):
+    """The record schema's rule: an interior edit of a column moves some
+    check's block exactly when README names the checks that read it, and
+    only those; the other columns are the observables README lists."""
+    readme = readme_column_readers()
+    assert list(readme) == [*DIAG_COLUMNS, *EXTRA_COLUMNS]
+    # case_i b=2 puts gronwall on the two-sided branch (it reads min_ux),
+    # case_ii b=2 on a one-sided one, where h3_energy applies (and reads E1)
+    runs = []
+    for case in ("case_i", "case_ii"):
+        cfg = every_check_config(model={"case": case, "b": 2.0})
+        runs.append(run_tiny(tmp_path, case, cfg)[2].parent)
+    moved = {}
+    for name, columns in (("diagnostics.csv", DIAG_COLUMNS),
+                          ("extras.csv", EXTRA_COLUMNS)):
+        for col, column in enumerate(columns):
+            edits = ("1000000", "-1000000") if column == "step" else ("1e6", "-1e6")
+            found = moved.setdefault(column, set())
+            for out, value in itertools.product(runs, edits):
+                manifest = restamped(out, tmp_path / f"{out.name}_{column}{value}",
+                                     name, col, value)
+                capsys.readouterr()
+                main(["check", str(manifest)])
+                found.update(re.findall(r"check '(\w+)' (?:details|verdict) differ",
+                                        capsys.readouterr().out))
+    observables = {c for c, cell in readme.items() if cell.startswith("observable")}
+    assert {c for c, checks in moved.items() if not checks} == observables
+    for column, checks in moved.items():
+        assert checks <= set(readme[column].split(", ")), (column, checks)
+
+
+def test_check_refuses_a_manifest_of_another_version(tmp_path, caplog):
+    assert main(["run", str(run_config(tmp_path))]) == 0
+    path = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["version"] == bfamily2c.__version__
+    manifest["version"] = "0.1.0"
+    path.write_text(json.dumps(manifest))
+    assert main(["check", str(path)]) == 2
+    assert (f"manifest version '0.1.0' is not this bfamily2c's version "
+            f"'{bfamily2c.__version__}'") in caplog.text
 
 
 def test_manifest_layout_every_check_disabled(tmp_path):

@@ -31,9 +31,9 @@ def round_trip(f: np.ndarray, g: Grid) -> np.ndarray:
 
 def test_csv_schemas_are_frozen():
     assert DIAG_COLUMNS == (
-        "t", "dt", "l2_u", "hs_u", "hsm1_rho", "min_ux", "max_ux", "sup_rho",
-        "sup_rhox", "E1", "E2", "int_rho", "R_m2", "R_rho2", "R_rhox2",
-        "R_rhoxx2", "transport_res", "symmetry_res",
+        "t", "dt", "h1_u", "min_ux", "max_ux", "sup_rho", "sup_rhox", "E1",
+        "E2", "int_rho", "R_m2", "R_rho2", "R_rhox2", "R_rhoxx2",
+        "transport_res", "symmetry_res",
     )
     assert EXTRA_COLUMNS == (
         "step", "u0", "ux0", "uxx0", "rho0", "conv0", "qx_min",
@@ -135,8 +135,9 @@ def test_make_record_composite_fields(grid20, params_b2):
     assert r.e2 == r.i_m2 + r.i_rho2 + r.i_rhox2
     assert r.e1 == r.i_m2 + i_mx2 + r.i_rho2 + r.i_rhox2 + r.i_rhoxx2
     assert r.int_rho == grid20.integrate(round_trip(rho, grid20))
-    assert r.l2_u == pytest.approx(math.sqrt(grid20.integrate(u**2)), rel=1e-12)
-    assert r.max_ux == float(np.max(grid20.derivative(u, 1)))
+    ux = grid20.derivative(u, 1)
+    assert r.h1_u == pytest.approx(grid20.integrate(u**2 + ux**2), rel=1e-12)
+    assert r.max_ux == float(np.max(ux))
     assert math.isnan(r.transport_res) and math.isnan(r.symmetry_res)
 
 
@@ -304,15 +305,15 @@ def test_record_matches_per_quantity_reference(N, rng, reference_record):
     states = [State(0.25, np.stack([g.x / 2 * np.exp(-g.x**2 / 4),
                                     0.5 * np.exp(-g.x**2 / 4)])),
               State(0.5, rng.standard_normal((2, N)))]
-    records = record(states, 0.01, ParamStack([p] * 2), g, step=3, hs_order=2.5,
+    records = record(states, 0.01, ParamStack([p] * 2), g, step=3,
                      symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
     # the record takes the spectrum of each state as is, and reads u and
     # rho from its inverse transform: the u_x values and the norms are
     # the reference's bit for bit, the node values those of the
     # reference on the transformed-back fields
-    spectral = {"ux0", "uxx0", "min_ux", "max_ux", "l2_u", "hs_u", "hsm1_rho"}
+    spectral = {"ux0", "uxx0", "min_ux", "max_ux", "h1_u"}
     nodes = {"u0", "rho0"}
-    kw = dict(step=3, hs_order=2.5, symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
+    kw = dict(step=3, symmetry_mode=SymmetryMode.U_ODD_RHO_EVEN)
     for s, got in zip(states, records):
         want = reference_record(s, 0.01, p, g, **kw)
         read = reference_record(State(s.t, round_trip(s.y, g)), 0.01, p, g, **kw)

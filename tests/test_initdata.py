@@ -102,6 +102,30 @@ def test_build_initial_rejects_boundary_support(grid20):
     assert abs(s.u[0]) <= BOUNDARY_DECAY_TOL
 
 
+@pytest.mark.parametrize("center", [50.0, -20.5, 1e200])
+def test_build_initial_rejects_a_center_off_the_domain(grid20, center):
+    # such a profile is zero on the grid, and the largest center
+    # overflowed y^2
+    off = InitSpec(InitKind.GAUSSIAN, center=center)
+    ok = InitSpec(InitKind.GAUSSIAN)
+    with pytest.raises(ValueError, match=r"^u\.center = .* lies outside"):
+        build_initial(off, ok, grid20)
+    with pytest.raises(ValueError, match=r"^rho\.m0\.center = .* lies outside"):
+        build_initial(ok, InitSpec(InitKind.FROM_M0, m0_spec=off), grid20)
+
+
+def test_profiles_of_a_tiny_width_warn_nothing(grid20):
+    # y^2 passes float range off the center, where e^{-y^2} is 0; y^3
+    # does too, and the nan it leaves is rejected
+    ok = InitSpec(InitKind.GAUSSIAN)
+    spike = profile(InitSpec(InitKind.GAUSSIAN, width=1e-200), grid20)
+    assert spike[grid20.origin_index] == 1.0 and np.count_nonzero(spike) == 1
+    s = build_initial(InitSpec(InitKind.ODD_GAUSSIAN, width=1e-200), ok, grid20)
+    assert not np.any(s.u)
+    with pytest.raises(ValueError, match="non-finite initial data"):
+        build_initial(InitSpec(InitKind.ODD_CUBIC, width=1e-200), ok, grid20)
+
+
 def test_blowup_bound_values():
     assert blowup_bound(make_params(CaseTag.CASE_I, 2.0), 1.0) == 2.0
     assert blowup_bound(make_params(CaseTag.CASE_I, 3.0), 1.0) == 1.0

@@ -198,6 +198,18 @@ def test_run_reaches_t_end_exactly(grid20, params_b2):
     assert rep.blowup is None
 
 
+@pytest.mark.parametrize("t_end", [1e-13, 5e-13, 2e-12])
+def test_run_reaches_a_tiny_t_end(grid20, params_b2, t_end):
+    # the stop's tolerance is relative to t_end: an absolute 1e-12 ended
+    # these runs at t = 0 after no step
+    traj, rep = run(smooth_state(grid20), params_b2,
+                    StepControl(t_end=t_end), grid20,
+                    diag=DiagSettings(char_stride=0))
+    assert rep.status is RunStatus.REACHED_T_END
+    assert rep.n_steps == 1
+    assert rep.t_final == traj.records[-1].t == t_end
+
+
 def test_run_record_cadence_and_final_row(grid20, params_b2):
     diag = DiagSettings(every=3, char_stride=0)
     traj, rep = run(smooth_state(grid20), params_b2,
