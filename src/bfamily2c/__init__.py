@@ -16,8 +16,7 @@ smooth solutions.
 from .characteristics import (CharField, init_characteristics,
                               rho_sup_bound_check, transport_residual)
 from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, DiagRecord,
-                          SymmetryMode, conservation_check,
-                          fill_identity_residuals, gronwall_check_h2,
+                          SymmetryMode, conservation_check, gronwall_check_h2,
                           h3_energy_check, make_record, riccati_check,
                           symmetry_residual)
 from .dynamics import State, Tendency, Workspace, eval_rhs
@@ -29,7 +28,7 @@ from .stepper import (RESOLUTION_TOL, DiagSettings, OverflowSignal, RunReport,
                       RunStatus, StepControl, Trajectory, choose_dt, run,
                       run_batch, step_rk4)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "Branch", "CaseTag", "CharField", "DIAG_COLUMNS", "DiagRecord",
@@ -40,7 +39,7 @@ __all__ = [
     "Tendency", "Trajectory", "Workspace",
     "blowup_bound", "build_initial", "choose_dt",
     "classify_scenario", "conservation_check", "custom_params",
-    "eval_rhs", "fill_identity_residuals",
+    "eval_rhs",
     "gronwall_check_h2", "h3_energy_check",
     "init_characteristics", "make_params",
     "make_record", "profile", "rho_sup_bound_check",

@@ -2,11 +2,9 @@
 exponential bounds, symmetry checks, and the origin Riccati inequality.
 
 Everything here is evaluated on recorded data after (or during) a run;
-nothing feeds back into the evolution.  Time derivatives of integral
-quantities are estimated by centered differences over the recording
-grid, so identity residuals carry an O(h^2) budget in the recording
-interval h — that budget, not the solver, is the accuracy limiter the
-convergence tests measure.
+nothing feeds back into the evolution.  The time derivative of each
+energy integral is taken from the recorded state's own tendency, so the
+2/3-rule system keeps every identity to roundoff at any resolution.
 
 Each check maps the records to a frozen result whose `ok` is its
 verdict; the manifest writes the other fields in declaration order.
@@ -30,13 +28,13 @@ from .spectral import Grid
 # section names the check that reads each column, or why it is kept
 DIAG_COLUMNS = (
     "t", "dt", "h1_u", "min_ux", "max_ux", "sup_rho", "sup_rhox", "E1", "E2",
-    "int_rho", "R_m2", "R_rho2", "R_rhox2", "R_rhoxx2", "transport_res",
-    "symmetry_res",
+    "int_rho", "transport_res", "symmetry_res",
 )
 EXTRA_COLUMNS = (
     "step", "u0", "ux0", "uxx0", "rho0", "conv0", "qx_min",
     "i_m2", "i_rho2", "i_rhox2", "i_rhoxx2",
     "s_m2", "s_rho2", "s_rhox2", "s_rhoxx2",
+    "d_m2", "d_rho2", "d_rhox2", "d_rhoxx2",
 )
 
 
@@ -49,18 +47,18 @@ class SymmetryMode(Enum):
 class DiagRecord:
     """One recorded time slice of the monitored quantities.
 
-    The CSV columns map to the same-named fields (E1 -> e1, R_m2 ->
-    r_m2, ...).  i_* / s_* are the left-side integrals and right-side
-    quadratures of the four energy identities
+    The CSV columns map to the same-named fields (E1 -> e1, ...).
+    i_* / s_* are the left-side integrals and right-side quadratures of
+    the four energy identities
       d/dt int m^2      = (2k1-1) int m^2 u_x - k2 int u_x rho^2
                           + k2 int u_xxx rho^2
       d/dt int rho^2    = k3 int u_x rho^2
       d/dt int rho_x^2  = 3 k3 int u_x rho_x^2 - k3 int u_xxx rho^2
       d/dt int rho_xx^2 = 5 k3 int u_x rho_xx^2
                           + k3 int u_xxx (2 rho rho_xx - 3 rho_x^2)
-    E1 = int(m^2 + m_x^2 + rho^2 + rho_x^2 + rho_xx^2), h1_u = int(u^2 + u_x^2).
-    The residual fields r_* are filled in a post-pass once both time
-    neighbors exist, and stay 0.0 on the first and last record.
+    and d_* the time derivatives of the i_*, taken from the evaluated
+    tendency.  E1 = int(m^2 + m_x^2 + rho^2 + rho_x^2 + rho_xx^2),
+    h1_u = int(u^2 + u_x^2).
     """
 
     step: int
@@ -87,10 +85,10 @@ class DiagRecord:
     s_rho2: float
     s_rhox2: float
     s_rhoxx2: float
-    r_m2: float = 0.0
-    r_rho2: float = 0.0
-    r_rhox2: float = 0.0
-    r_rhoxx2: float = 0.0
+    d_m2: float
+    d_rho2: float
+    d_rhox2: float
+    d_rhoxx2: float
     transport_res: float = math.nan
     symmetry_res: float = math.nan
     qx_min: float = math.nan
@@ -135,7 +133,8 @@ def make_record(
     u, rho and u_x are the evaluation's physical rows, and the other
     spectral quantities come from its spectra: one irfft of seven rows
     (u_xx, u_xxx, m, m_x, rho_x, rho_xx, and source / (1 + kappa^2) for
-    conv0), written into ws (a fresh Workspace when None).  dt,
+    conv0), written into ws (a fresh Workspace when None).  d_* are
+    Parseval sums of the spectrum against the tendency's kept bins.  dt,
     transport_res and qx_min are one value for all members or one per
     member.  Each record is bit for bit the one of its member alone.
     """
@@ -166,6 +165,16 @@ def make_record(
     k1, k2, k3 = np.ravel(p.k1), np.ravel(p.k2), np.ravel(p.k3)
     i_m2, i_mx2, i_rho2 = I(m**2), I(mx**2), I(rho**2)
     i_rhox2, i_rhoxx2 = I(rhox**2), I(rhoxx**2)
+    # d/dt i_* = (2L/N^2) sum w lambda 2 Re(conj(f^) df^), lambda =
+    # (1 + kappa^2)^2 for m and 1, kappa^2, kappa^4 for rho, over the
+    # n_keep bins the tendency holds: all below Nyquist, so w = 2 but on
+    # bin 0
+    K = g.n_keep
+    w = np.full(K, 4.0 * g.L / g.N**2)
+    w[1:] *= 2.0
+    du = (uh[:, :K].conj() * k.dyh[:, 0]).real * w
+    drho = (rh[:, :K].conj() * k.dyh[:, 1]).real * w
+    kappa2 = g.k[:K] ** 2
     j0 = g.origin_index
     sym = (math.nan if symmetry_mode is None
            else symmetry_residual(State(k.t, k.y), symmetry_mode, g))
@@ -196,6 +205,10 @@ def make_record(
         s_rhox2=3.0 * k3 * I(ux * rhox**2) - k3 * I(uxxx * rho**2),
         s_rhoxx2=5.0 * k3 * I(ux * rhoxx**2)
         + k3 * I(uxxx * (2.0 * rho * rhoxx - 3.0 * rhox**2)),
+        d_m2=(du * g.helm[:K] ** 2).sum(axis=-1),
+        d_rho2=drho.sum(axis=-1),
+        d_rhox2=(drho * kappa2).sum(axis=-1),
+        d_rhoxx2=(drho * kappa2**2).sum(axis=-1),
         transport_res=transport_res,
         symmetry_res=sym,
         qx_min=qx_min,
@@ -269,26 +282,6 @@ def _centered_slope(t0, t1, t2, f0, f1, f2) -> float:
         (h1**2 * f2 + (h2**2 - h1**2) * f1 - h2**2 * f0)
         / (h1 * h2 * (h1 + h2))
     )
-
-
-def fill_identity_residuals(records: list[DiagRecord]) -> None:
-    """Populate r_* on interior records from the stored i_*/s_* scalars.
-
-    r_* = |centered d/dt of the left integral - right quadrature| at the
-    middle time; the residual of an exact identity decays as the square
-    of the recording interval.  Endpoints keep r_* = 0.0 (no centered
-    difference exists there).
-    """
-    pairs = (("i_m2", "s_m2", "r_m2"), ("i_rho2", "s_rho2", "r_rho2"),
-             ("i_rhox2", "s_rhox2", "r_rhox2"), ("i_rhoxx2", "s_rhoxx2", "r_rhoxx2"))
-    for j in range(1, len(records) - 1):
-        r0, r1, r2 = records[j - 1], records[j], records[j + 1]
-        for attr_i, attr_s, attr_r in pairs:
-            slope = _centered_slope(
-                r0.t, r1.t, r2.t,
-                getattr(r0, attr_i), getattr(r1, attr_i), getattr(r2, attr_i),
-            )
-            setattr(r1, attr_r, abs(slope - getattr(r1, attr_s)))
 
 
 @dataclass(frozen=True)
@@ -528,10 +521,11 @@ class IdentitiesResult:
     rhoxx2: IdentityResidual
 
 
-def identities_check(records, rel_tol: float = 1e-2) -> IdentitiesResult:
-    """Largest residual r_* of each energy identity relative to its s_* scale."""
+def identities_check(records, rel_tol: float = 1e-10) -> IdentitiesResult:
+    """Largest |d_* - s_*| of each energy identity relative to its s_* scale."""
     def residual(name: str) -> IdentityResidual:
-        res_max = max(getattr(r, f"r_{name}") for r in records)
+        res_max = max(abs(getattr(r, f"d_{name}") - getattr(r, f"s_{name}"))
+                      for r in records)
         scale = max(abs(getattr(r, f"s_{name}")) for r in records)
         rel = res_max / scale if scale > 0.0 else (0.0 if res_max == 0.0
                                                    else math.inf)

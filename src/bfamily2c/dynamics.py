@@ -128,9 +128,9 @@ class Workspace:
     first n.
     """
 
-    def __init__(self, B: int, g: Grid, dealias: bool = True):
+    def __init__(self, B: int, g: Grid):
         M, N = g.k.size, g.N
-        self.n_keep = K = g.n_keep if dealias else M
+        K = g.n_keep
         self.yh = np.empty((B, 2, M), dtype=complex)
         self.spec = np.empty((B, 3, M), dtype=complex)
         self.prod = np.empty((B, 3, N))
@@ -148,11 +148,10 @@ class Workspace:
         self.rec_fields = np.empty((7, B, N)).transpose(1, 0, 2)
 
     @classmethod
-    def for_states(cls, states: Sequence[State], g: Grid,
-                   dealias: bool = True) -> Workspace:
+    def for_states(cls, states: Sequence[State], g: Grid) -> Workspace:
         """A workspace for the batch of `states` (each (2, N)), holding
         their spectra in yh: one rfft of every row."""
-        ws = cls(len(states), g, dealias)
+        ws = cls(len(states), g)
         np.fft.rfft(np.stack([s.y for s in states]), out=ws.yh)
         return ws
 
@@ -188,20 +187,20 @@ def eval_rhs(t, yh: np.ndarray, p: ModelParams | ParamStack, g: Grid,
     N/2 + 1) of a batch at times t, whose coefficients p holds as (B, 1)
     columns (or floats for one member).
 
-    The result's arrays are views of ws (a fresh Workspace of
-    len(yh) members with the 2/3 rule when None): stage 0 writes the
-    slot of an accepted state, stages 1 to 3 the stage slot, each with
-    its own tendency rows.  yh may be ws.spec[:, :2], where step_rk4
-    forms a stage state.  Quadratic products are formed pointwise and
-    the tendency kept on the first ws.n_keep bins (all of them without
-    the 2/3 rule).  u_x is the spectral derivative exactly as
-    Grid.derivative computes it from the same spectrum.  A state that
-    overflows gives a non-finite dyh, returned as computed and without
-    a warning: the stepper gates each member's rows.
+    The result's arrays are views of ws (a fresh Workspace of len(yh)
+    members when None): stage 0 writes the slot of an accepted state,
+    stages 1 to 3 the stage slot, each with its own tendency rows.  yh
+    may be ws.spec[:, :2], where step_rk4 forms a stage state.
+    Quadratic products are formed pointwise and the tendency kept on the
+    first g.n_keep bins, the ones the 2/3 rule keeps.  u_x is the
+    spectral derivative exactly as Grid.derivative computes it from the
+    same spectrum.  A state that overflows gives a non-finite dyh,
+    returned as computed and without a warning: the stepper gates each
+    member's rows.
     """
     if ws is None:
         ws = Workspace(len(yh), g)
-    K, spec, prod = ws.n_keep, ws.spec, ws.prod
+    K, spec, prod = g.n_keep, ws.spec, ws.prod
     k = ws.tendency(stage, t, yh)
     if not np.shares_memory(yh, spec):
         spec[:, :2] = yh

@@ -37,8 +37,7 @@ import numpy as np
 from .characteristics import (BOUNDARY_MARGIN, CharField,
                               characteristic_rates, init_characteristics,
                               transport_residual, update_characteristics)
-from .diagnostics import (DiagRecord, SymmetryMode, fill_identity_residuals,
-                          make_record)
+from .diagnostics import DiagRecord, SymmetryMode, make_record
 from .dynamics import State, Tendency, Workspace, eval_rhs
 from .model import (Branch, Framework, ModelParams, ParamStack,
                     classify_scenario)
@@ -102,7 +101,6 @@ class StepControl:
     dt_min: float = 1e-9
     dt_max: float = 0.1
     blowup_grad_threshold: float = 1e4
-    dealias: bool = True
     framework: Framework = Framework.HS
     resolution_tol: float | None = None
 
@@ -166,7 +164,7 @@ def step_rk4(k1: Tendency, dt: np.ndarray, p: ParamStack, g: Grid, ws: Workspace
     dt is per member (B,), p is the members' ParamStack and char, if
     given, the list of their CharFields.  Each member's new rows are bit
     for bit those of its step alone.  The stage states and the combine
-    touch only the ws.n_keep bins the tendencies keep; the others stay
+    touch only the g.n_keep bins the tendencies keep; the others stay
     those of k1.yh.  The combine writes ws.yh_next, which is copied to
     k1.yh once its gate passes.
 
@@ -183,7 +181,7 @@ def step_rk4(k1: Tendency, dt: np.ndarray, p: ParamStack, g: Grid, ws: Workspace
     if not all(d > 0.0 for d in dts):
         raise ValueError(f"dt must be positive, got {dt}")
     # h is complex, so that scaling a tendency by it needs no buffered cast
-    K, t, yh, h = ws.n_keep, k1.t, k1.yh, dt.astype(complex)[:, None, None]
+    K, t, yh, h = g.n_keep, k1.t, k1.yh, dt.astype(complex)[:, None, None]
     chars = char or []
     # the characteristics' stage tuple, and member i's own dt for each entry
     x = tuple(a for c in chars for a in (c.q, c.accumulated_integral))
@@ -343,7 +341,7 @@ def run_batch(
                for s0, p in zip(states, params)]
     live = list(range(len(members)))  # the member of each row of the batch
     ps = ParamStack(params)
-    ws = Workspace.for_states(states, g, ctl.dealias)
+    ws = Workspace.for_states(states, g)
     n_steps = 0
     t_eps = 1e-12 * ctl.t_end  # relative: t_end may be below 1e-12
 
@@ -468,8 +466,6 @@ def run_batch(
                                 "> %.3g", ts[j], tail, ctl.resolution_tol)
         stops = ended(stops)
 
-    for m in members:
-        fill_identity_residuals(m.traj.records)
     return [m.traj for m in members], [m.report for m in members]
 
 

@@ -24,10 +24,10 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
-def _batch_of_one(s: State, g: Grid, dealias: bool = True):
+def _batch_of_one(s: State, g: Grid):
     """The state s (2, N) as the batch of one that eval_rhs and step_rk4
     advance: its times (1,) and a Workspace holding its spectrum."""
-    return np.array([s.t], dtype=float), Workspace.for_states([s], g, dealias)
+    return np.array([s.t], dtype=float), Workspace.for_states([s], g)
 
 
 @pytest.fixture(scope="session")
@@ -92,7 +92,7 @@ def anchored_interpolate():
     return _anchored_interpolate
 
 
-def _reference_rhs(s: State, p, g: Grid, dealias: bool = True) -> np.ndarray:
+def _reference_rhs(s: State, p, g: Grid) -> np.ndarray:
     """The nonlocal-form tendency dy as five separately dealiased products.
 
     eval_rhs composed the operator this way (16 FFTs) before it became
@@ -100,7 +100,7 @@ def _reference_rhs(s: State, p, g: Grid, dealias: bool = True) -> np.ndarray:
     """
     u, rho = s.u, s.rho
     ux = g.derivative(u, 1)
-    da = g.dealias if dealias else (lambda f: f)
+    da = g.dealias
     source = (0.5 * p.k1) * da(u * u) \
         + (0.5 * (3.0 - p.k1)) * da(ux * ux) \
         + (0.5 * p.k2) * da(rho * rho)
@@ -115,8 +115,11 @@ def _reference_record(s: State, dt: float, p, g: Grid, step: int = 0,
 
     This is how records were built before they came from one rfft of u
     and one of rho (23 FFTs): the reference for the shared-spectrum one.
+    The d_* are 2 int f f_t of each identity's integrand f, with f_t
+    from _reference_rhs.
     """
     u, rho = s.u, s.rho
+    du, drho = _reference_rhs(s, p, g)
     I = g.integrate
     ux, uxx, uxxx = (g.derivative(u, k) for k in (1, 2, 3))
     m = g.helmholtz(u)
@@ -146,6 +149,10 @@ def _reference_record(s: State, dt: float, p, g: Grid, step: int = 0,
         s_rhox2=3.0 * k3 * I(ux * rhox**2) - k3 * I(uxxx * rho**2),
         s_rhoxx2=5.0 * k3 * I(ux * rhoxx**2)
         + k3 * I(uxxx * (2.0 * rho * rhoxx - 3.0 * rhox**2)),
+        d_m2=2.0 * I(m * g.helmholtz(du)),
+        d_rho2=2.0 * I(rho * drho),
+        d_rhox2=2.0 * I(rhox * g.derivative(drho, 1)),
+        d_rhoxx2=2.0 * I(rhoxx * g.derivative(drho, 2)),
         symmetry_res=(math.nan if symmetry_mode is None
                       else symmetry_residual(s, symmetry_mode, g)),
     )

@@ -162,7 +162,7 @@ def test_records_csv_round_trip(tmp_path, grid20, params_b2):
     assert len(back) == len(traj.records)
     for a, b in zip(traj.records, back):
         for col in ("t", "dt", "h1_u", "min_ux", "e1", "e2", "int_rho",
-                    "r_m2", "r_rhoxx2", "transport_res", "symmetry_res",
+                    "d_m2", "d_rhoxx2", "transport_res", "symmetry_res",
                     "ux0", "conv0", "qx_min", "s_rhoxx2"):
             va, vb = getattr(a, col), getattr(b, col)
             assert va == vb or (math.isnan(va) and math.isnan(vb)), col
@@ -420,6 +420,15 @@ def test_removed_hs_order_is_an_unknown_field(tmp_path, caplog):
     assert "unknown field 'outputs.hs_order'" in caplog.text
 
 
+def test_removed_dealias_is_an_unknown_field(tmp_path, caplog):
+    # the 2/3 rule is what keeps the energy identities exact
+    cfg = base_config(control={"t_end": 0.1, "dealias": True},
+                      outputs={"directory": str(tmp_path / "out")})
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert "unknown field 'control.dealias'" in caplog.text
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("center", [50, -20.5, 1e200])
 def test_profile_center_off_the_domain_is_a_config_error(tmp_path, caplog,
                                                          center):
@@ -514,7 +523,7 @@ def test_sweep_parses_each_member_once(tmp_path, monkeypatch, serial_pool):
     cfg["sweep"] = {"case": ["case_i", "case_ii"], "b": [2.0, 3.0],
                     "amplitude": [0.25, 0.5, 0.75, 1.0]}
     assert main(["sweep", str(write_config(tmp_path, cfg))]) == 0
-    assert [len(members) for (members,) in serial_pool] == [8, 8]
+    assert [len(members) for members, _ in serial_pool] == [8, 8]
     assert len(parsed) == 16
     lines = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
     assert len(lines) == 17
@@ -568,6 +577,24 @@ def test_shipped_sweep_members_equal_their_single_runs(tmp_path, serial_pool):
                            for b in ("1p5", "2", "2p5", "3") for a in ("0p25", "0p5"))
 
 
+def test_sweep_member_at_its_identity_floor_is_green(tmp_path, serial_pool):
+    # the time-differenced residuals put this member at 1.02e-2 against
+    # their 1e-2 gate; its tendency rates meet s_* to roundoff.  Its
+    # transport residual, 4.1e-5 against 1e-6, keeps the sweep red.
+    cfg = json.loads((CONFIGS / "sweep.json").read_text())
+    cfg["sweep"] = {"case": ["case_ii"], "b": [3], "amplitude": [0.75]}
+    cfg["outputs"]["directory"] = str(tmp_path / "sw")
+    assert main(["sweep", str(write_config(tmp_path, cfg))]) == 1
+    manifest = json.loads(
+        (tmp_path / "sw" / "case_ii_b3_a0p75" / "manifest.json").read_text())
+    assert [name for name, block in manifest["checks"].items()
+            if block["passed"] is False] == ["transport"]
+    block = manifest["checks"]["identities"]
+    assert block["passed"] and block["rel_tol"] == 1e-10
+    assert max(block[n]["rel_residual"]
+               for n in ("m2", "rho2", "rhox2", "rhoxx2")) <= 1e-13
+
+
 def test_sweep_member_overflow_leaves_the_others_alone(tmp_path, serial_pool,
                                                       capsys):
     # the 1e160 members overflow in the first stage of step 1 and leave
@@ -586,10 +613,13 @@ def test_sweep_member_overflow_leaves_the_others_alone(tmp_path, serial_pool,
 
 
 def test_overflowed_run_fails_run_and_check(tmp_path, capsys):
-    # with one record, every check holds vacuously: the status decides
+    # with one record, every check but identities holds vacuously, and
+    # identities fails on the record's non-finite d_m2 and s_m2: with it
+    # off, the status alone decides
     cfg = sweep_config(tmp_path)
     del cfg["sweep"]
     cfg["model"] = {"case": "case_i", "b": 2.0}
+    cfg["checks"] = {"identities": False}
     cfg["initial"]["u"]["amplitude"] = 1e160
     cfg["outputs"]["directory"] = str(tmp_path / "out")
     assert main(["run", str(write_config(tmp_path, cfg))]) == 1
@@ -623,9 +653,14 @@ def test_overflowed_run_fails_run_and_check(tmp_path, capsys):
      r"config error: missing required field 'initial\.u'"),
     ({"initial": {"u": "x", "rho": {"kind": "gaussian"}}},
      r"config error: field 'initial\.u' must be an object, got 'x'"),
+    # the members' states are built before any run starts
+    ({"initial": {"u": {"kind": "gaussian"},
+                  "rho": {"kind": "gaussian", "center": 50}}},
+     r"config error: initial: rho\.center = 50\S* lies outside \[-L, L\]"),
 ], ids=["custom_case", "unknown_key", "b_not_a_number", "b_boolean",
         "amplitude_boolean", "no_runs", "colliding_names", "repeated_member",
-        "no_initial", "no_initial_u", "initial_u_not_an_object"])
+        "no_initial", "no_initial_u", "initial_u_not_an_object",
+        "rho_center_off_the_domain"])
 def test_sweep_rejects_bad_section(tmp_path, caplog, section, needle):
     cfg = {
         "sweep": {"b": [2.0]},
@@ -770,10 +805,10 @@ def test_check_refuses_a_manifest_of_another_version(tmp_path, caplog):
     path = tmp_path / "out" / "manifest.json"
     manifest = json.loads(path.read_text())
     assert manifest["version"] == bfamily2c.__version__
-    manifest["version"] = "0.1.0"
+    manifest["version"] = "0.2.0"
     path.write_text(json.dumps(manifest))
     assert main(["check", str(path)]) == 2
-    assert (f"manifest version '0.1.0' is not this bfamily2c's version "
+    assert (f"manifest version '0.2.0' is not this bfamily2c's version "
             f"'{bfamily2c.__version__}'") in caplog.text
 
 

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 import bfamily2c
-from bfamily2c import (Branch, CaseTag, DiagRecord, Grid, ParamStack, State,
-                       SymmetryMode, Workspace, conservation_check,
-                       custom_params, eval_rhs, gronwall_check_h2,
-                       h3_energy_check, make_params, make_record,
-                       riccati_check, symmetry_residual)
+from bfamily2c import (Branch, CaseTag, DiagRecord, DiagSettings, Grid,
+                       ParamStack, State, StepControl, SymmetryMode, Workspace,
+                       conservation_check, custom_params, eval_rhs,
+                       gronwall_check_h2, h3_energy_check, make_params,
+                       make_record, riccati_check, run, stepper,
+                       symmetry_residual)
+from bfamily2c.cli import CheckSettings
 from bfamily2c.diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS,
-                                   _centered_slope, fill_identity_residuals)
-from bfamily2c.stepper import step_rk4
+                                   _centered_slope, identities_check)
 
 
 def record(states, dt, ps, g, **kwargs):
@@ -32,13 +33,13 @@ def round_trip(f: np.ndarray, g: Grid) -> np.ndarray:
 def test_csv_schemas_are_frozen():
     assert DIAG_COLUMNS == (
         "t", "dt", "h1_u", "min_ux", "max_ux", "sup_rho", "sup_rhox", "E1",
-        "E2", "int_rho", "R_m2", "R_rho2", "R_rhox2", "R_rhoxx2",
-        "transport_res", "symmetry_res",
+        "E2", "int_rho", "transport_res", "symmetry_res",
     )
     assert EXTRA_COLUMNS == (
         "step", "u0", "ux0", "uxx0", "rho0", "conv0", "qx_min",
         "i_m2", "i_rho2", "i_rhox2", "i_rhoxx2",
         "s_m2", "s_rho2", "s_rhox2", "s_rhoxx2",
+        "d_m2", "d_rho2", "d_rhox2", "d_rhoxx2",
     )
 
 
@@ -53,7 +54,7 @@ def test_package_api_is_frozen():
         "SymmetryMode", "Tendency", "Trajectory", "Workspace",
         "blowup_bound", "build_initial", "choose_dt", "classify_scenario",
         "conservation_check", "custom_params", "eval_rhs",
-        "fill_identity_residuals", "gronwall_check_h2", "h3_energy_check",
+        "gronwall_check_h2", "h3_energy_check",
         "init_characteristics", "make_params", "make_record", "profile",
         "rho_sup_bound_check", "riccati_check", "run", "run_batch", "step_rk4",
         "symmetry_residual", "transport_residual",
@@ -150,23 +151,45 @@ def test_conv0_nonnegative_for_admissible_coefficients(grid20, rng):
         assert r.conv0 > -1e-12
 
 
-def test_fill_matches_direct_identity_residuals(grid20, params_b2,
-                                                batch_of_one):
-    t, ws = batch_of_one(State(0.0, np.stack([np.exp(-grid20.x**2),
-                                             0.5 * np.exp(-grid20.x**2)])), grid20)
-    ps, dt = ParamStack([params_b2]), np.array([1e-2])
-    recs = []
-    for _ in range(3):
-        k = eval_rhs(t, ws.yh, ps, grid20, ws)
-        recs += make_record(k, 1e-2, ps, grid20)
-        t, _ = step_rk4(k, dt, ps, grid20, ws)
-    fill_identity_residuals(recs)
-    ts = [r.t for r in recs]
+@pytest.mark.parametrize("p", [make_params(CaseTag.CASE_I, 2.0),
+                               make_params(CaseTag.CASE_II, 3.0),
+                               custom_params(2.5, -1.0, 0.5)],
+                         ids=["case_i", "case_ii", "custom"])
+def test_tendency_rates_equal_the_right_sides(p, rng):
+    # the 2/3 rule keeps each energy balance of the truncated system
+    # exact, so on band-limited states d_* and s_* agree to roundoff
+    g = Grid(20.0, 256)
+    y = g.dealias(rng.standard_normal((5, 2, g.N)))
+    recs = record([State(0.0, yi) for yi in y], 0.0, ParamStack([p] * 5), g)
     for name in ("m2", "rho2", "rhox2", "rhoxx2"):
-        slope = _centered_slope(*ts, *(getattr(r, f"i_{name}") for r in recs))
-        assert getattr(recs[1], f"r_{name}") == abs(slope - getattr(recs[1], f"s_{name}"))
-    # endpoints keep the 0.0 placeholder
-    assert recs[0].r_m2 == 0.0 and recs[2].r_m2 == 0.0
+        scale = max(abs(getattr(r, f"s_{name}")) for r in recs)
+        worst = max(abs(getattr(r, f"d_{name}") - getattr(r, f"s_{name}"))
+                    for r in recs)
+        assert scale > 0.0 and worst <= 1e-12 * scale, name
+    assert identities_check(recs).ok
+
+
+def test_a_wrong_rhs_coefficient_fails_identities(monkeypatch):
+    # k1 raised by 1e-6 inside eval_rhs alone: s_* keep the true k1, so
+    # d_m2 parts from s_m2 by ~1e-6 relative (7.6e-7 on the shipped
+    # smooth config).  The centred differences of i_* this check read
+    # before moved 3.36e-5 -> 3.43e-5 there, inside their 1e-2 gate.
+    g = Grid(20.0, 256)
+    p = make_params(CaseTag.CASE_I, 2.0)
+    s0 = State(0.0, np.stack([np.exp(-g.x**2), 0.5 * np.exp(-g.x**2)]))
+    ctl, diag = StepControl(t_end=0.2), DiagSettings(char_stride=0)
+    tol = CheckSettings().identity_rel_tol
+    traj, _ = run(s0, p, ctl, g, diag)
+    assert identities_check(traj.records, tol).ok
+
+    def mutated(t, yh, ps, g, ws=None, stage=0):
+        wrong = SimpleNamespace(k1=ps.k1 + 1e-6, k2=ps.k2, k3=ps.k3)
+        return eval_rhs(t, yh, wrong, g, ws, stage)
+
+    monkeypatch.setattr(stepper, "eval_rhs", mutated)
+    traj, _ = run(s0, p, ctl, g, diag)
+    res = identities_check(traj.records, tol)
+    assert not res.ok and res.m2.rel_residual > 1e3 * tol
 
 
 def synth_records(ts, e2=1.0, e1=1.0, min_ux=-0.5, max_ux=0.5, sup_rho=1.0,
