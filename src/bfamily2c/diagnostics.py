@@ -141,11 +141,9 @@ def make_record(
     B, d = len(k.t), g.deriv_mult
     if ws is None:
         ws = Workspace(B, g)
-    # one contiguous (B, .) block per derived row, and contiguous copies
-    # of the evaluated rows, so the products below pair like layouts
-    spec = ws.rec_spec[:B].transpose(1, 0, 2)
-    u, rho, ux = (np.ascontiguousarray(f) for f in (k.u, k.rho, k.ux))
-    uh, rh = k.yh[:, 0], k.yh[:, 1]
+    spec = ws.rec_spec[:, :B]
+    u, rho, ux = k.u, k.rho, k.ux
+    uh, rh = k.yh
     np.multiply(uh, d[2], out=spec[0])
     np.multiply(uh, d[3], out=spec[1])
     mh = np.multiply(uh, g.helm, out=spec[2])
@@ -157,7 +155,7 @@ def make_record(
     # k1 <= 3 and k2 >= 0
     np.divide(k.sh, g.helm, out=spec[6])
     uxx, uxxx, m, mx, rhox, rhoxx, conv = np.fft.irfft(
-        spec, n=g.N, out=ws.rec_fields[:B].transpose(1, 0, 2))
+        spec, n=g.N, out=ws.rec_fields[:, :B])
 
     I = g.integrate
     # the fields broadcast against p's coefficients, the per-member
@@ -172,8 +170,8 @@ def make_record(
     K = g.n_keep
     w = np.full(K, 4.0 * g.L / g.N**2)
     w[1:] *= 2.0
-    du = (uh[:, :K].conj() * k.dyh[:, 0]).real * w
-    drho = (rh[:, :K].conj() * k.dyh[:, 1]).real * w
+    du = (uh[:, :K].conj() * k.dyh[0]).real * w
+    drho = (rh[:, :K].conj() * k.dyh[1]).real * w
     kappa2 = g.k[:K] ** 2
     j0 = g.origin_index
     sym = (math.nan if symmetry_mode is None

@@ -141,8 +141,8 @@ def choose_dt(s: State, p: ModelParams, ctl: StepControl, g: Grid,
 
 
 def _nonfinite(a: np.ndarray) -> np.ndarray:
-    """The (B,) mask of the members whose rows of a (B, R, n) are not finite."""
-    return ~np.isfinite(a).all(axis=(-2, -1))
+    """The (B,) mask of the members whose rows of a (R, B, n) are not finite."""
+    return ~np.isfinite(a).all(axis=(0, 2))
 
 
 def _char_rates(x: tuple, k: Tendency, members: Sequence[ModelParams], g: Grid) -> tuple:
@@ -181,17 +181,21 @@ def step_rk4(k1: Tendency, dt: np.ndarray, p: ParamStack, g: Grid, ws: Workspace
     if not all(d > 0.0 for d in dts):
         raise ValueError(f"dt must be positive, got {dt}")
     # h is complex, so that scaling a tendency by it needs no buffered cast
-    K, t, yh, h = g.n_keep, k1.t, k1.yh, dt.astype(complex)[:, None, None]
+    K, t, yh, h = g.n_keep, k1.t, k1.yh, dt.astype(complex)[:, None]
     chars = char or []
     # the characteristics' stage tuple, and member i's own dt for each entry
     x = tuple(a for c in chars for a in (c.q, c.accumulated_integral))
     hx = tuple(d for c, d in zip(chars, dts) for _ in (c.q, c.accumulated_integral))
     ks, rs = [k1], [_char_rates(x, k1, p.members, g)]
-    stage_yh = ws.spec[:, :2]
+    # field by field: a (B, n_keep) block has one row stride, where numpy
+    # runs the 3-D view of both fields through its buffered path
+    stage_yh = ws.spec[:2]
     stage_yh[..., K:] = yh[..., K:]
     for stage, w in ((1, 0.5), (2, 0.5), (3, 1.0)):
-        np.multiply(w * h, ks[-1].dyh, out=stage_yh[..., :K])
-        stage_yh[..., :K] += yh[..., :K]
+        wh = w * h
+        for sf, d, y in zip(stage_yh, ks[-1].dyh, yh):
+            np.multiply(wh, d, out=sf[:, :K])
+            sf[:, :K] += y[:, :K]
         xi = tuple(xj + (w * hj) * rj for xj, hj, rj in zip(x, hx, rs[-1]))
         ti = t + w * dt
         k = eval_rhs(ti, stage_yh, p, g, ws, stage)
@@ -202,14 +206,15 @@ def step_rk4(k1: Tendency, dt: np.ndarray, p: ParamStack, g: Grid, ws: Workspace
 
     # yh + (dt/6) (k1 + 2 k2 + 2 k3 + k4) on the kept bins; k3 is
     # doubled in place, as nothing reads it again
-    new = ws.yh_next
-    np.multiply(ks[1].dyh, 2.0, out=new)
-    new += ks[0].dyh
-    ks[2].dyh *= 2.0
-    new += ks[2].dyh
-    new += ks[3].dyh
-    new *= h / 6.0
-    new += yh[..., :K]
+    new, h6 = ws.yh_next, h / 6.0
+    for n, d1, d2, d3, d4, y in zip(new, *(k.dyh for k in ks), yh):
+        np.multiply(d2, 2.0, out=n)
+        n += d1
+        d3 *= 2.0
+        n += d3
+        n += d4
+        n *= h6
+        n += y[:, :K]
     x_new = tuple(xj + (hj / 6.0) * (r1 + 2.0 * r2 + 2.0 * r3 + r4)
                   for xj, hj, (r1, r2, r3, r4) in zip(x, hx, zip(*rs)))
     bad = _nonfinite(new)
@@ -299,10 +304,10 @@ def run_batch(
     detection, lost resolution, or overflow.
 
     The members share g, ctl and diag; each has its own state (2, N)
-    and params.  Their spectra advance as one stack (B, 2, N/2 + 1) in
+    and params.  Their spectra advance as one stack (2, B, N/2 + 1) in
     one Workspace, allocated here for the starting batch: one step_rk4
     per step, and one make_record per record.  A member that stops
-    leaves the stack, and the others move to its first rows.  numpy
+    leaves the stack, and the others move to its first members.  numpy
     computes each row of a stack bit for bit as the row alone, so every
     member's trajectory and report are those of run() on it alone.  The
     members that overflow in a stage of a step leave with that stage,
@@ -446,7 +451,7 @@ def run_batch(
             if not (choice.collapsed and ctl.t_end - t > t_eps):
                 continue
             sc = scenarios[live[j]]
-            rhox = np.fft.irfft(k.yh[j, 1] * g.ik, n=g.N)
+            rhox = np.fft.irfft(k.yh[1, j] * g.ik, n=g.N)
             hits = _detection_candidates(sc.branch, sc.rho_x_relevant,
                                          k.ux[j], rhox, ctl.blowup_grad_threshold)
             if hits:
@@ -458,7 +463,7 @@ def run_batch(
                 logger.info("blow-up detected at t=%.6g: %s=%.6g at x=%.6g",
                             t, quantity.value, value, g.x[x_j])
         if ctl.resolution_tol is not None:
-            for j, pair in enumerate(g.tail_fraction(k.yh).tolist()):
+            for j, pair in enumerate(zip(*g.tail_fraction(k.yh).tolist())):
                 tail = max(pair)
                 if j not in stops and tail > ctl.resolution_tol:
                     stops[j] = (RunStatus.RESOLUTION_LOST, None, None)

@@ -24,6 +24,13 @@ from bfamily2c import (CaseTag, DiagSettings, Grid, InitKind, InitSpec,
 # tendency; a step that forms its stages from fresh arrays peaks near
 # 1 MB, and one (3, N) stack of float rows alone is 96 KiB
 PEAK_BYTES = 64 * 1024
+# tracemalloc's peak of one call on a batch of 8 members at N=1024
+# (test_batch_fields_are_contiguous_blocks).  With the field axis first
+# in every Workspace array they read ~88, ~248 and ~132 KB; member-first
+# stacks, whose (B, .) field views numpy runs through its buffered
+# path, read ~194, ~440 and ~260 KB
+BATCH_PEAK_BYTES = {"eval_rhs": 140 * 1024, "make_record": 340 * 1024,
+                    "step_rk4": 195 * 1024}
 
 
 @pytest.fixture
@@ -182,7 +189,7 @@ def test_batched_transforms_match_single_rows(N, rng):
         back = np.fft.irfft(fh, n=N)
         assert all(np.array_equal(back[i], np.fft.irfft(fh[i], n=N))
                    for i in range(B))
-    # so a batch's evaluation, written through the strided views of its
+    # so a batch's evaluation, written through the views of its
     # Workspace, gives each member the bits of its evaluation alone
     g = Grid(20.0, N)
     members = [make_params(CaseTag.CASE_I, b) for b in (1.5, 2.0, 3.0)]
@@ -193,7 +200,7 @@ def test_batched_transforms_match_single_rows(N, rng):
         wi = Workspace.for_states([s], g)
         ki = eval_rhs(np.zeros(1), wi.yh, ParamStack([p]), g, wi)
         for name in ("yh", "dyh", "fields", "ph"):
-            assert np.array_equal(getattr(k, name)[i], getattr(ki, name)[0]), name
+            assert np.array_equal(getattr(k, name)[:, i], getattr(ki, name)[:, 0]), name
 
 
 def test_steady_steps_allocate_no_stage_temporaries(rng):
@@ -218,3 +225,38 @@ def test_steady_steps_allocate_no_stage_temporaries(rng):
     finally:
         tracemalloc.stop()
     assert peak < PEAK_BYTES, peak
+
+
+def _traced_peak(f) -> int:
+    """tracemalloc's peak over one call of f, after two untraced calls
+    that fill numpy's FFT plan caches."""
+    f()
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_fields_are_contiguous_blocks():
+    # every field of a batch is one contiguous (B, .) block of its
+    # Workspace, also in the view of the first members, so the products
+    # of an evaluation, a step and a record run on plain blocks
+    g, B = Grid(10.0, 1024), 8
+    y = _state(g).y
+    states = [State(0.0, a * y) for a in np.linspace(0.25, 2.0, B)]
+    members = [make_params(CaseTag.CASE_I, b) for b in np.linspace(1.5, 3.0, B)]
+    ws = Workspace.for_states(states, g)
+    for n in (B, 5):
+        wn = ws.rows(n)
+        k = eval_rhs(np.zeros(n), wn.yh, ParamStack(members[:n]), g, wn)
+        for a in (k.u, k.rho, k.ux, k.sh, *k.dyh):
+            assert a.flags.c_contiguous and a.shape[0] == n
+    ps, t, dt = ParamStack(members), np.zeros(B), np.full(B, 1e-3)
+    k = eval_rhs(t, ws.yh, ps, g, ws)
+    peaks = {"eval_rhs": _traced_peak(lambda: eval_rhs(t, ws.yh, ps, g, ws)),
+             "make_record": _traced_peak(lambda: make_record(k, 1e-3, ps, g, ws=ws)),
+             "step_rk4": _traced_peak(lambda: step_rk4(k, dt, ps, g, ws))}
+    assert all(peaks[f] < BATCH_PEAK_BYTES[f] for f in peaks), peaks

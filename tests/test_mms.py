@@ -62,7 +62,7 @@ def mms_errors():
         k = real(t, yh, p, g, *args, **kwargs)
         force = np.fft.rfft(np.stack([g.helmholtz_inv(f_m(t[0], g.x)),
                                       f_rho(t[0], g.x)]))
-        k.dyh += force[..., :k.dyh.shape[-1]]
+        k.dyh += force[:, None, :k.dyh.shape[-1]]
         return k
 
     errors, drifts = [], []

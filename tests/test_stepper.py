@@ -79,7 +79,7 @@ def test_step_rk4_fourth_order(grid20, params_b2, batch_of_one):
         (t, ws), ps = batch_of_one(smooth_state(grid20), grid20), ParamStack([params_b2])
         for _ in range(round(t_end / dt)):
             t, _ = _step(t, ws, ps, grid20, np.array([dt]))
-        return np.fft.irfft(ws.yh[0], n=grid20.N)
+        return np.fft.irfft(ws.yh[:, 0], n=grid20.N)
 
     ref = advance(5e-4)
     errs = []
@@ -144,7 +144,7 @@ def test_step_rk4_evaluates_each_stage_at_its_time(grid20, params_b2,
 
     def overflow(*args, **kwargs):
         k = real(*args, **kwargs)
-        k.dyh[0, 1, 3] = np.inf
+        k.dyh[1, 0, 3] = np.inf
         return k
 
     (t, ws), ps, dt = batch_of_one(State(0.25, smooth_state(grid20).y), grid20), \
@@ -170,7 +170,7 @@ def test_dealiased_run_keeps_the_dropped_bins_of_the_start(grid20, params_b2,
 
     def spy(t, yh, p, g, ws=None, stage=0):
         if stage == 0:
-            accepted.append(yh[0].copy())
+            accepted.append(yh[:, 0].copy())
         return real(t, yh, p, g, ws, stage)
 
     monkeypatch.setattr(stepper, "eval_rhs", spy)
