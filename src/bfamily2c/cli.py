@@ -56,8 +56,7 @@ DIAG_HEADER = ",".join(DIAG_COLUMNS)
 EXTRA_HEADER = ",".join(EXTRA_COLUMNS)
 SNAP_HEADER = "x,u,rho,m"
 SWEEP_COLUMNS = ("case", "b", "k1", "k2", "k3", "amplitude", "status",
-                 "t_final", "blowup_quantity", "slope_blowup_bound",
-                 "bound_respected")
+                 "t_final", "slope_blowup_bound")
 
 
 class ConfigError(Exception):
@@ -346,37 +345,31 @@ class SlopeBound:
     applicable: bool  # the hypotheses of initdata.blowup_bound hold
     u0_prime_at_zero: float
     bound: float | None
-    t_detected: float | None
-    respected: bool | None  # t_detected <= bound
     t_resolution_lost: float | None
     stopped_before_bound: bool | None  # t_resolution_lost < bound
 
 
 def slope_bound_payload(records: list[DiagRecord], p: ModelParams,
                         cs: CheckSettings, report: RunReport) -> dict:
-    """Wave-breaking upper bound vs. the detected time, when applicable.
+    """Wave-breaking upper bound vs. the run's end, when applicable.
 
     Applicable on the data the bound covers: 1 < k1 <= 3, k2 >= 0,
     u0'(0) > 0, a declared symmetry mode (odd u0, rho0 even or odd) and
     |rho0(0)| <= origin_tol.
 
-    A run stopped on lost resolution has no detection time (the stop is
-    not blow-up detection); its stop time goes to t_resolution_lost,
-    and stopped_before_bound compares that with the bound.
+    A run stopped on lost resolution puts its stop time in
+    t_resolution_lost, and stopped_before_bound compares that with the
+    bound; a grid cannot show the blow-up itself, only this stop.
     """
     h0 = records[0].ux0
     applicable = ((1.0 < p.k1 <= 3.0) and p.k2 >= 0.0 and h0 > 0.0
                   and cs.symmetry_mode is not None
                   and abs(records[0].rho0) <= cs.origin_tol)
     bound = blowup_bound(p, h0) if applicable else None
-    t_det = (report.blowup.t_detected if applicable
-             and report.status is RunStatus.BLOW_UP_DETECTED else None)
     t_lost = (report.t_final
               if report.status is RunStatus.RESOLUTION_LOST else None)
     return _serial(SlopeBound(
-        applicable, h0, bound, t_det,
-        respected=None if t_det is None else t_det <= bound,
-        t_resolution_lost=t_lost,
+        applicable, h0, bound, t_resolution_lost=t_lost,
         stopped_before_bound=(None if bound is None or t_lost is None
                               else t_lost < bound)))
 
@@ -694,10 +687,7 @@ def _sweep_batch(setups: list[RunSetup],
             "amplitude": _fmt(setup.spec_u.amplitude),
             "status": report.status.value,
             "t_final": _fmt(report.t_final),
-            "blowup_quantity": report.blowup.quantity.value if report.blowup else "",
             "slope_blowup_bound": _fmt(payload["bound"]) if payload["bound"] else "",
-            "bound_respected": ("" if payload["respected"] is None
-                                else str(payload["respected"]).lower()),
         }
         results.append((row, run_passed(manifest)))
     return results

@@ -86,17 +86,14 @@ class ParamStack:
 
 @dataclass(frozen=True)
 class ScenarioBranch:
-    """Classification result: branch plus bookkeeping flags.
+    """Classification result: branch plus a bookkeeping flag.
 
-    rho_x_relevant: the HS-frame criteria monitor sup|rho_x| alongside
-    u_x; the H2-frame ones do not.
     boundary_overlap: both one-sided predicates of the H2 frame hold
     simultaneously (k1 exactly 1/2 with k2 = 0 <= k3 = 0 style corner);
     POS_INF_UX is returned but either reading would be admissible.
     """
 
     branch: Branch
-    rho_x_relevant: bool
     boundary_overlap: bool = False
 
 
@@ -124,30 +121,28 @@ def classify_scenario(p: ModelParams, framework: Framework) -> ScenarioBranch:
         k1 <= -1/2 and k3 <= min(0, k2)  -> NEG_INF_UX
         k1 >= 1    and k3 >= max(0, k2)  -> POS_INF_UX
         otherwise                        -> TWO_SIDED_UX
-    (all with rho_x_relevant=True).
 
     H2 frame:
         k1 <= 1/2 and k3 <= min(k2, 0)   -> NEG_INF_UX
         k1 >= 1/2 and k3 >= max(k2, 0)   -> POS_INF_UX
         otherwise                        -> TWO_SIDED_UX
-    (all with rho_x_relevant=False).  Both H2 predicates can hold at
-    the k1 = 1/2 corner; the positive branch wins and the overlap is
-    flagged, since the two-sided monitor covers either reading.
+
+    Both H2 predicates can hold at the k1 = 1/2 corner; the positive
+    branch wins and the overlap is flagged.
     """
     k1, k2, k3 = p.k1, p.k2, p.k3
     if framework is Framework.HS:
         if k1 <= -0.5 and k3 <= min(0.0, k2):
-            return ScenarioBranch(Branch.NEG_INF_UX, rho_x_relevant=True)
+            return ScenarioBranch(Branch.NEG_INF_UX)
         if k1 >= 1.0 and k3 >= max(0.0, k2):
-            return ScenarioBranch(Branch.POS_INF_UX, rho_x_relevant=True)
-        return ScenarioBranch(Branch.TWO_SIDED_UX, rho_x_relevant=True)
+            return ScenarioBranch(Branch.POS_INF_UX)
+        return ScenarioBranch(Branch.TWO_SIDED_UX)
     if framework is Framework.H2:
         neg = k1 <= 0.5 and k3 <= min(k2, 0.0)
         pos = k1 >= 0.5 and k3 >= max(k2, 0.0)
         if pos:
-            return ScenarioBranch(Branch.POS_INF_UX, rho_x_relevant=False,
-                                  boundary_overlap=neg)
+            return ScenarioBranch(Branch.POS_INF_UX, boundary_overlap=neg)
         if neg:
-            return ScenarioBranch(Branch.NEG_INF_UX, rho_x_relevant=False)
-        return ScenarioBranch(Branch.TWO_SIDED_UX, rho_x_relevant=False)
+            return ScenarioBranch(Branch.NEG_INF_UX)
+        return ScenarioBranch(Branch.TWO_SIDED_UX)
     raise ValueError(f"unknown framework {framework!r}")

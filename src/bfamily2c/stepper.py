@@ -1,21 +1,12 @@
-"""Classical RK4 time stepping with CFL control and blow-up detection.
+"""Classical RK4 time stepping with CFL control.
 
-A run declares blow-up only when two independent signals agree: the
-scenario-relevant gradient quantity exceeds the configured threshold
-AND the CFL step selector has collapsed to its floor.  Either signal
-alone is routinely a false positive (a steep but resolved front, or a
-transiently large velocity); overflow anywhere is always terminal.
-The numerically detected time is intrinsically a lower estimate of the
-true breakdown time, which is what makes comparison against the
-closed-form upper bounds meaningful.
-
-A grid can stop resolving a steepening solution long before either
-signal fires: the 2/3 rule keeps u band-limited to
-kmax = (N/3) pi / L, so by Bernstein's inequality
-||u_x||_inf <= kmax ||u||_inf, while the collapse needs
-||u_x||_inf > cfl / dt_min (3e8 at the defaults).  An optional stop on
-the spectral tail (StepControl.resolution_tol) ends such a run with
-its own status, distinct from blow-up detection.
+A run ends at t_end, on lost resolution, or on overflow, which is
+always terminal.  It never reports blow-up: the 2/3 rule keeps u
+band-limited to kmax = (N/3) pi / L, so by Bernstein's inequality
+||u_x||_inf <= kmax ||u||_inf, and a finite grid cannot show u_x
+becoming unbounded.  What it can show is the grid ceasing to resolve a
+steepening solution: an optional stop on the spectral tail
+(StepControl.resolution_tol) ends such a run with its own status.
 
 The stepped variable is the spectrum of (u, rho) (see dynamics), held
 with every other per-step array in the Workspace that run_batch
@@ -39,8 +30,7 @@ from .characteristics import (BOUNDARY_MARGIN, CharField,
                               transport_residual, update_characteristics)
 from .diagnostics import DiagRecord, SymmetryMode, make_record
 from .dynamics import State, Tendency, Workspace, eval_rhs
-from .model import (Branch, Framework, ModelParams, ParamStack,
-                    classify_scenario)
+from .model import ModelParams, ParamStack
 from .spectral import Grid
 
 logger = logging.getLogger(__name__)
@@ -48,7 +38,6 @@ logger = logging.getLogger(__name__)
 
 class RunStatus(Enum):
     REACHED_T_END = "reached_t_end"
-    BLOW_UP_DETECTED = "blow_up_detected"
     RESOLUTION_LOST = "resolution_lost"
     OVERFLOW = "overflow"
 
@@ -63,12 +52,6 @@ tail tolerance up to the stop: tolerance 1e-12, 1e-10, 1e-8 gives
 max |rho(t,0)| = 1.1e-11, 1.4e-9, 1.5e-7.  1e-12 is the largest decade
 whose drift stays near 1e-2 * origin_tol; 1e-10 already breaks it.
 """
-
-
-class BlowupQuantity(Enum):
-    MIN_UX = "min_ux"
-    MAX_UX = "max_ux"
-    SUP_RHOX = "sup_rhox"
 
 
 class OverflowSignal(FloatingPointError):
@@ -89,19 +72,14 @@ class OverflowSignal(FloatingPointError):
 class StepControl:
     """Step-size and termination policy of a run.
 
-    Blow-up is detected on a watched gradient above
-    max(blowup_grad_threshold, cfl / dt_min): below cfl / dt_min the
-    step never collapses (see choose_dt).  resolution_tol, when set,
-    ends the run once Grid.tail_fraction of u or rho exceeds it; None
-    (the default) never stops on resolution.
+    resolution_tol, when set, ends the run once Grid.tail_fraction of
+    u or rho exceeds it; None (the default) never stops on resolution.
     """
 
     t_end: float
     cfl: float = 0.3
     dt_min: float = 1e-9
     dt_max: float = 0.1
-    blowup_grad_threshold: float = 1e4
-    framework: Framework = Framework.HS
     resolution_tol: float | None = None
 
     def __post_init__(self) -> None:
@@ -109,8 +87,6 @@ class StepControl:
             raise ValueError(f"cfl must be in (0, 1], got {self.cfl}")
         if not (0.0 < self.dt_min <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_max")
-        if not self.blowup_grad_threshold > 0.0:
-            raise ValueError("blowup_grad_threshold must be positive")
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
         if self.resolution_tol is not None and not (
@@ -122,7 +98,7 @@ class StepControl:
 @dataclass(frozen=True)
 class DtChoice:
     dt: float
-    collapsed: bool  # the unclamped value fell below dt_min
+    collapsed: bool  # raw step below dt_min; only perfbench's tracer reads it
 
 
 def choose_dt(s: State, p: ModelParams, ctl: StepControl, g: Grid,
@@ -230,19 +206,10 @@ def step_rk4(k1: Tendency, dt: np.ndarray, p: ParamStack, g: Grid, ws: Workspace
 
 
 @dataclass(frozen=True)
-class BlowupDiagnostic:
-    quantity: BlowupQuantity
-    value: float
-    location_index: int
-    t_detected: float
-
-
-@dataclass(frozen=True)
 class RunReport:
     status: RunStatus
     t_final: float
     n_steps: int
-    blowup: BlowupDiagnostic | None = None
     overflow_stage: int | None = None
 
 
@@ -263,25 +230,6 @@ class Trajectory:
     char: CharField | None = None
 
 
-def _detection_candidates(branch: Branch, rho_x_relevant: bool, ux: np.ndarray,
-                          rhox: np.ndarray, threshold: float):
-    """(quantity, signed value, node index) for each watched gradient over threshold."""
-    hits = []
-    if branch in (Branch.NEG_INF_UX, Branch.TWO_SIDED_UX):
-        j = int(np.argmin(ux))
-        if -ux[j] > threshold:
-            hits.append((BlowupQuantity.MIN_UX, float(ux[j]), j))
-    if branch in (Branch.POS_INF_UX, Branch.TWO_SIDED_UX):
-        j = int(np.argmax(ux))
-        if ux[j] > threshold:
-            hits.append((BlowupQuantity.MAX_UX, float(ux[j]), j))
-    if rho_x_relevant:
-        j = int(np.argmax(np.abs(rhox)))
-        if abs(rhox[j]) > threshold:
-            hits.append((BlowupQuantity.SUP_RHOX, float(abs(rhox[j])), j))
-    return hits
-
-
 @dataclass
 class _Member:
     """A member of run_batch: its parameters, trajectory (with its
@@ -300,8 +248,8 @@ def run_batch(
     g: Grid,
     diag: DiagSettings | None = None,
 ) -> tuple[list[Trajectory], list[RunReport]]:
-    """Integrate members in lockstep, each until t_end, blow-up
-    detection, lost resolution, or overflow.
+    """Integrate members in lockstep, each until t_end, lost
+    resolution, or overflow.
 
     The members share g, ctl and diag; each has its own state (2, N)
     and params.  Their spectra advance as one stack (2, B, N/2 + 1) in
@@ -313,25 +261,17 @@ def run_batch(
     members that overflow in a stage of a step leave with that stage,
     and the others take the step again as one batch.
 
-    Detection: the branch-relevant gradient quantity (per
-    classify_scenario under ctl.framework) exceeds
-    ctl.blowup_grad_threshold while choose_dt is pinned at dt_min, so
-    in effect it must exceed max(blowup_grad_threshold, cfl / dt_min).
-    The final time of a detected run is a lower estimate of the true
-    breakdown time.
-
     Lost resolution: with ctl.resolution_tol set, every accepted step
     whose u or rho has a tail fraction above it ends the run with
     RESOLUTION_LOST; rho is watched too because it compresses before
-    u steepens.  Detection on the same step takes precedence.  Either
-    way the stopping state is the final record.
+    u steepens.  The stopping state is the final record.
 
     The initial states are transformed once.  Each accepted state is
     evaluated once, after the combine (the initial state before the
     loop): its Tendency gives choose_dt the physical u and u_x, is
-    stage 1 of the next step and feeds detection, the resolution stop,
-    the record and the snapshot.  A member whose evaluation overflows
-    ends with overflow_stage 0 unless another stop ends it.
+    stage 1 of the next step and feeds the resolution stop, the record
+    and the snapshot.  A member whose evaluation overflows ends with
+    overflow_stage 0 unless another stop ends it.
 
     Identical inputs produce bit-identical trajectories on one
     platform.
@@ -339,7 +279,6 @@ def run_batch(
     if len(states) != len(params) or not states:
         raise ValueError("need one ModelParams per state, and at least one state")
     diag = diag or DiagSettings()
-    scenarios = [classify_scenario(p, ctl.framework) for p in params]
     members = [_Member(p, Trajectory(char=init_characteristics(s0.rho, p, g,
                                                                diag.char_stride)
                                      if diag.char_stride > 0 else None))
@@ -372,15 +311,15 @@ def run_batch(
         """stops, then the members at t_end, then those whose k overflowed."""
         for j, t in enumerate(k.t.tolist()):
             if ctl.t_end - t <= t_eps:
-                stops.setdefault(j, (RunStatus.REACHED_T_END, None, None))
+                stops.setdefault(j, (RunStatus.REACHED_T_END, None))
         for j in np.flatnonzero(_nonfinite(k.dyh)).tolist():
-            stops.setdefault(j, (RunStatus.OVERFLOW, None, 0))
+            stops.setdefault(j, (RunStatus.OVERFLOW, 0))
         return stops
 
     def leave(stops: dict, step: int) -> None:
         """End the members of the rows j in stops at their accepted
         state, after `step` steps, and drop the rows from the batch;
-        stops[j] = (status, blowup, overflow_stage)."""
+        stops[j] = (status, overflow_stage)."""
         nonlocal k, ws, live, ps
         final = [j for j in stops if members[live[j]].traj.records[-1].step != step]
         if final:
@@ -389,7 +328,7 @@ def run_batch(
             idx = [live[j] for j in final]
             record(idx, sub, [t - members[i].traj.records[-1].t
                               for i, t in zip(idx, sub.t.tolist())], step)
-        for j, (status, blowup, stage) in stops.items():
+        for j, (status, stage) in stops.items():
             m = members[live[j]]
             if status is RunStatus.OVERFLOW:
                 logger.warning("overflow at t=%.6g (stage %d); terminating run",
@@ -397,7 +336,7 @@ def run_batch(
             if diag.snapshot_every > 0 and m.traj.snapshots[-1][0] != step:
                 snapshot([live[j]], k.rows([j]), step)
             m.report = RunReport(status=status, t_final=float(k.t[j]),
-                                 n_steps=step, blowup=blowup, overflow_stage=stage)
+                                 n_steps=step, overflow_stage=stage)
         rest = [j for j in range(len(live)) if j not in stops]
         ws = ws.keep(rest)
         k = ws.tendency(0, k.t[rest], ws.yh)
@@ -424,12 +363,11 @@ def run_batch(
         except OverflowSignal as exc:
             # the marked members leave; the rest retake the step, and one
             # that overflows in a later stage is caught there
-            stops = {j: (RunStatus.OVERFLOW, None, exc.stage_index)
+            stops = {j: (RunStatus.OVERFLOW, exc.stage_index)
                      for j in np.flatnonzero(exc.rows).tolist()}
             continue
         n_steps += 1
         k = eval_rhs(t, ws.yh, ps, g, ws)
-        ts = t.tolist()
         for i, c in zip(live, chars or []):
             m = members[i]
             m.traj.char = c
@@ -446,29 +384,13 @@ def run_batch(
             snapshot(live, k, n_steps)
 
         stops = {}
-        for j, (choice, t) in enumerate(zip(choices, ts)):
-            # only a collapsed step short of t_end can report blow-up
-            if not (choice.collapsed and ctl.t_end - t > t_eps):
-                continue
-            sc = scenarios[live[j]]
-            rhox = np.fft.irfft(k.yh[1, j] * g.ik, n=g.N)
-            hits = _detection_candidates(sc.branch, sc.rho_x_relevant,
-                                         k.ux[j], rhox, ctl.blowup_grad_threshold)
-            if hits:
-                quantity, value, x_j = max(hits, key=lambda h: abs(h[1]))
-                stops[j] = (RunStatus.BLOW_UP_DETECTED,
-                            BlowupDiagnostic(quantity=quantity, value=value,
-                                             location_index=x_j, t_detected=t),
-                            None)
-                logger.info("blow-up detected at t=%.6g: %s=%.6g at x=%.6g",
-                            t, quantity.value, value, g.x[x_j])
         if ctl.resolution_tol is not None:
             for j, pair in enumerate(zip(*g.tail_fraction(k.yh).tolist())):
                 tail = max(pair)
-                if j not in stops and tail > ctl.resolution_tol:
-                    stops[j] = (RunStatus.RESOLUTION_LOST, None, None)
+                if tail > ctl.resolution_tol:
+                    stops[j] = (RunStatus.RESOLUTION_LOST, None)
                     logger.info("resolution lost at t=%.6g: tail fraction %.3g "
-                                "> %.3g", ts[j], tail, ctl.resolution_tol)
+                                "> %.3g", k.t[j], tail, ctl.resolution_tol)
         stops = ended(stops)
 
     return [m.traj for m in members], [m.report for m in members]
@@ -481,8 +403,7 @@ def run(
     g: Grid,
     diag: DiagSettings | None = None,
 ) -> tuple[Trajectory, RunReport]:
-    """Integrate s0 until t_end, blow-up detection, lost resolution, or
-    overflow: run_batch of a batch of one, whose docstring says when
-    each stop fires."""
+    """Integrate s0 until t_end, lost resolution, or overflow: run_batch
+    of a batch of one, whose docstring says when each stop fires."""
     (traj,), (report,) = run_batch([s0], [p], ctl, g, diag)
     return traj, report

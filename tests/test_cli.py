@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import pytest
 
 import bfamily2c
-from bfamily2c import (CaseTag, Framework, InitKind, RunReport, RunStatus,
-                       SymmetryMode, make_params)
+from bfamily2c import (CaseTag, InitKind, RunReport, RunStatus, SymmetryMode,
+                       make_params)
 from bfamily2c import cli
 from bfamily2c.cli import (SWEEP_COLUMNS, CheckSettings, ConfigError,
                            config_echo, main, parse_config, read_records,
@@ -48,7 +48,8 @@ def test_parse_config_defaults():
     assert (setup.params.k1, setup.params.k2, setup.params.k3) == (2.0, 4.0, 1.0)
     assert setup.grid.N == 256
     assert setup.control.cfl == 0.3
-    assert setup.control.framework is Framework.HS
+    assert list(config_echo(setup)["control"]) == ["t_end", "cfl", "dt_min",
+                                                   "dt_max"]
     assert setup.spec_u.kind is InitKind.GAUSSIAN
     assert setup.outputs.directory == "out"
     assert setup.checks.conservation is True
@@ -414,18 +415,20 @@ def test_non_finite_float_field_is_a_config_error(tmp_path, caplog,
     assert not (tmp_path / "out").exists()
 
 
-def test_removed_hs_order_is_an_unknown_field(tmp_path, caplog):
-    cfg = base_config(outputs={"directory": str(tmp_path / "out"), "hs_order": 2.0})
-    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
-    assert "unknown field 'outputs.hs_order'" in caplog.text
-
-
-def test_removed_dealias_is_an_unknown_field(tmp_path, caplog):
+@pytest.mark.parametrize("section, key, value", [
+    pytest.param("outputs", "hs_order", 2.0, id="outputs.hs_order"),
     # the 2/3 rule is what keeps the energy identities exact
-    cfg = base_config(control={"t_end": 0.1, "dealias": True},
-                      outputs={"directory": str(tmp_path / "out")})
+    pytest.param("control", "dealias", True, id="control.dealias"),
+    # a grid cannot show u_x unbounded, so no run reports blow-up
+    pytest.param("control", "blowup_grad_threshold", 1e4,
+                 id="control.blowup_grad_threshold"),
+    pytest.param("control", "framework", "hs", id="control.framework"),
+])
+def test_removed_field_is_an_unknown_field(tmp_path, caplog, section, key, value):
+    cfg = base_config(outputs={"directory": str(tmp_path / "out")})
+    cfg[section][key] = value
     assert main(["run", str(write_config(tmp_path, cfg))]) == 2
-    assert "unknown field 'control.dealias'" in caplog.text
+    assert f"unknown field '{section}.{key}'" in caplog.text
     assert not (tmp_path / "out").exists()
 
 
@@ -480,7 +483,7 @@ def test_cmd_sweep(tmp_path):
     assert main(["sweep", str(write_config(tmp_path, cfg))]) == 0
     lines = (tmp_path / "sw" / "summary.csv").read_text().splitlines()
     assert lines[0] == ("case,b,k1,k2,k3,amplitude,status,t_final,"
-                       "blowup_quantity,slope_blowup_bound,bound_respected")
+                       "slope_blowup_bound")
     assert len(lines) == 3
     assert lines[1].startswith("case_i,2,2,4,1,0.5,reached_t_end")
     assert (tmp_path / "sw" / "case_i_b2_a0p5" / "manifest.json").exists()
@@ -695,9 +698,9 @@ CHECK_KEYS = {
     "h3_energy": ["applicable", "branch", "m1", "m2", "c", "first_violation_t",
                   "worst_ratio"],
 }
-REPORT_KEYS = ["status", "t_final", "n_steps", "blowup", "overflow_stage"]
-SLOPE_KEYS = ["applicable", "u0_prime_at_zero", "bound", "t_detected",
-              "respected", "t_resolution_lost", "stopped_before_bound"]
+REPORT_KEYS = ["status", "t_final", "n_steps", "overflow_stage"]
+SLOPE_KEYS = ["applicable", "u0_prime_at_zero", "bound", "t_resolution_lost",
+              "stopped_before_bound"]
 
 
 def run_tiny(tmp_path: Path, name: str, cfg: dict) -> tuple[int, dict, Path]:
@@ -732,7 +735,6 @@ def test_manifest_layout_every_check_enabled(tmp_path):
         assert list(checks["identities"][name]) == [
             "max_residual", "scale", "rel_residual"]
     assert list(manifest["report"]) == REPORT_KEYS
-    assert manifest["report"]["blowup"] is None
     assert list(manifest["slope_bound"]) == SLOPE_KEYS
     assert manifest["slope_bound"]["applicable"] is True
     assert main(["check", str(path)]) == code
@@ -814,10 +816,9 @@ def test_check_refuses_a_manifest_of_another_version(tmp_path, caplog):
 
 def test_manifest_layout_every_check_disabled(tmp_path):
     # k1 = 0.5 leaves the slope bound inapplicable; a step pinned above the
-    # CFL step with a tiny threshold forces a detection after one step
+    # CFL step reaches t_end after three steps at dt_min
     cfg = base_config(model={"case": "case_i", "b": 0.5},
-                      control={"t_end": 0.3, "dt_min": 0.1, "dt_max": 0.1,
-                               "blowup_grad_threshold": 1e-3},
+                      control={"t_end": 0.3, "dt_min": 0.1, "dt_max": 0.1},
                       outputs={"char_label_stride": 0},
                       checks=dict.fromkeys(CHECK_KEYS, False))
     code, manifest, path = run_tiny(tmp_path, "off", cfg)
@@ -827,9 +828,8 @@ def test_manifest_layout_every_check_disabled(tmp_path):
     assert list(manifest["checks"]) == list(CHECK_KEYS)
     report = manifest["report"]
     assert list(report) == REPORT_KEYS
-    assert report["status"] == "blow_up_detected"
-    assert list(report["blowup"]) == ["quantity", "value", "location_index",
-                                      "t_detected"]
+    assert report["status"] == "reached_t_end"
+    assert report["n_steps"] == 3
     assert list(manifest["slope_bound"]) == SLOPE_KEYS
     assert manifest["slope_bound"]["applicable"] is False
     assert main(["check", str(path)]) == 0
@@ -851,8 +851,6 @@ def test_slope_payload_reports_resolution_stop(t_final, before):
                        n_steps=100)
     payload = slope_bound_payload([ODD_U_START], p, ODD_U_CHECKS, report)
     assert payload["bound"] == 2.0
-    # a resolution stop is not a detection
-    assert payload["t_detected"] is None and payload["respected"] is None
     assert payload["t_resolution_lost"] == t_final
     assert payload["stopped_before_bound"] is before
 

@@ -102,23 +102,28 @@ def test_transport_residual_takes_one_interpolation(grid20, params_b2,
     assert lengths == [2 * grid20.N]
 
 
+@pytest.mark.parametrize("ctl, n_steps", [
+    (StepControl(t_end=0.3), 7),
+    # dt pinned above the CFL step on this grid, so every step collapses
+    (StepControl(t_end=0.3, dt_min=0.1, dt_max=0.1), 3),
+], ids=["cfl", "dt_floor"])
 def test_run_evaluates_each_accepted_state_once(grid20, params_b2, fft_calls,
-                                                monkeypatch):
+                                                monkeypatch, ctl, n_steps):
     calls, rows, _ = fft_calls
     derivatives = []
     real = Grid.derivative
     monkeypatch.setattr(Grid, "derivative", lambda self, f, order=1:
                         derivatives.append(order) or real(self, f, order))
     s0 = _state(grid20)
-    traj, rep = run(s0, params_b2, StepControl(t_end=0.3), grid20,
+    traj, rep = run(s0, params_b2, ctl, grid20,
                     diag=DiagSettings(every=3, char_stride=0))
-    assert rep.status is RunStatus.REACHED_T_END and rep.n_steps > 3
+    assert rep.status is RunStatus.REACHED_T_END and rep.n_steps == n_steps
     # the initial state is transformed once (1 call on 2 rows); the
     # evaluation of each state gives the step size its u and u_x, is
     # stage 1 of the next step and feeds the record: 2 calls on 3 + 3
     # rows; a step, three stage evaluations and the new state's, 8
     # calls on 24 rows; a record one inverse call on 7 rows.  Nothing
-    # else differentiates a state whose dt never collapsed.
+    # else differentiates a state.
     n, r = rep.n_steps, len(traj.records)
     assert sum(calls.values()) == 8 * n + r + 3
     assert sum(rows.values()) == 24 * n + 7 * r + 8

@@ -65,7 +65,6 @@ H2_CASES = [
 def test_classify_hs(ks, branch):
     sb = classify_scenario(custom_params(*ks), Framework.HS)
     assert sb.branch is branch
-    assert sb.rho_x_relevant is True
     assert sb.boundary_overlap is False
 
 
@@ -73,7 +72,6 @@ def test_classify_hs(ks, branch):
 def test_classify_h2(ks, branch):
     sb = classify_scenario(custom_params(*ks), Framework.H2)
     assert sb.branch is branch
-    assert sb.rho_x_relevant is False
 
 
 def test_h2_corner_overlap_flagged():

@@ -99,8 +99,8 @@ def test_dealias_drops_top_third(grid20):
 
 
 def test_multipliers_act_on_each_row_of_a_stack(grid20, rng):
-    # a State holds (u, rho) as one (2, N) array, and run() takes the
-    # detection slopes of both rows in one call
+    # a State holds (u, rho) as one (2, N) array, and an operator acts
+    # on each row of it as on that row alone
     y = rng.standard_normal((2, grid20.N))
     ops = [lambda f: grid20.derivative(f, 1), lambda f: grid20.derivative(f, 3),
            grid20.helmholtz, grid20.helmholtz_inv, grid20.dx_helmholtz_inv,

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bfamily2c import (CaseTag, DiagSettings, Framework, Grid, InitKind,
+from bfamily2c import (CaseTag, DiagSettings, Grid, InitKind,
                        InitSpec, OverflowSignal, ParamStack, RunStatus, State,
                        StepControl, SymmetryMode, build_initial, choose_dt,
                        Workspace, custom_params, eval_rhs,
@@ -56,7 +56,6 @@ def test_choose_dt_collapse_flag(grid20, params_b2):
     dict(t_end=0.0), dict(t_end=-1.0), dict(t_end=1.0, cfl=0.0),
     dict(t_end=1.0, cfl=1.5), dict(t_end=1.0, dt_min=0.0),
     dict(t_end=1.0, dt_min=0.2, dt_max=0.1),
-    dict(t_end=1.0, blowup_grad_threshold=0.0),
     dict(t_end=1.0, resolution_tol=0.0), dict(t_end=1.0, resolution_tol=-1e-12),
     dict(t_end=1.0, resolution_tol=math.inf),
     dict(t_end=1.0, resolution_tol=math.nan),
@@ -195,7 +194,6 @@ def test_run_reaches_t_end_exactly(grid20, params_b2):
     assert rep.t_final == 0.1
     assert traj.records[0].t == 0.0
     assert traj.records[-1].t == 0.1
-    assert rep.blowup is None
 
 
 @pytest.mark.parametrize("t_end", [1e-13, 5e-13, 2e-12])
@@ -272,42 +270,6 @@ def test_boundary_warning_names_margin_and_crossing_time(caplog):
         f"half-width at t={t_cross:.6g}; transport residuals may degrade"]
 
 
-def test_detection_needs_both_signals(grid20, params_b2):
-    # gradient over threshold but dt not collapsed: no blow-up verdict
-    s0 = build_initial(InitSpec(InitKind.ODD_GAUSSIAN),
-                       InitSpec(InitKind.ZERO), grid20)
-    ctl = StepControl(t_end=0.02, blowup_grad_threshold=0.1)
-    traj, rep = run(s0, params_b2, ctl, grid20,
-                    diag=DiagSettings(char_stride=0))
-    assert rep.status is RunStatus.REACHED_T_END
-
-    # same threshold with a dt floor above the CFL choice (raw ~ 0.047
-    # on this grid): the two signals now agree and the run stops early
-    ctl = StepControl(t_end=0.12, blowup_grad_threshold=0.1,
-                      dt_min=0.05, dt_max=0.05)
-    traj, rep = run(s0, params_b2, ctl, grid20,
-                    diag=DiagSettings(char_stride=0))
-    assert rep.status is RunStatus.BLOW_UP_DETECTED
-    assert rep.blowup is not None
-    assert rep.t_final < 0.12
-    assert rep.blowup.t_detected == rep.t_final
-    assert abs(rep.blowup.value) > 0.1
-    assert traj.records[-1].t == rep.t_final
-
-
-def test_detection_never_fires_at_t_end(grid20, params_b2):
-    # a run that lands exactly on t_end reports reached_t_end even if
-    # the gradient is over threshold on the last step
-    s0 = build_initial(InitSpec(InitKind.ODD_GAUSSIAN),
-                       InitSpec(InitKind.ZERO), grid20)
-    ctl = StepControl(t_end=0.05, blowup_grad_threshold=0.1,
-                      dt_min=0.05, dt_max=0.05)
-    traj, rep = run(s0, params_b2, ctl, grid20,
-                    diag=DiagSettings(char_stride=0))
-    assert rep.status is RunStatus.REACHED_T_END
-    assert rep.t_final == 0.05
-
-
 def test_resolution_stop_idle_on_resolved_run(params_b2):
     # tail fraction stays below 1e-11 on this run, so the stop never
     # fires and the trajectory is the one of a run without it
@@ -332,30 +294,12 @@ def test_resolution_stop_ends_steepening_run(params_b2):
                     g, diag=DiagSettings(every=3, char_stride=0, snapshot_every=1))
     tails = [g.tail_fraction(np.fft.rfft(s.u)) for _, s in traj.snapshots[1:]]
     assert rep.status is RunStatus.RESOLUTION_LOST
-    assert rep.blowup is None
     assert rep.t_final < 2.0
     # the run stops on the first step whose tail crosses the tolerance
     assert len(tails) == rep.n_steps > 1
     assert tails[-1] > 1e-8 and max(tails[:-1]) <= 1e-8
     assert traj.records[-1].t == rep.t_final
     assert traj.records[-1].step == rep.n_steps
-
-
-def test_framework_changes_watched_quantities(grid20):
-    # H2 framework ignores rho_x; HS watches it.  With a rho front much
-    # steeper than u, only the HS run can report SUP_RHOX.
-    p = make_params(CaseTag.CASE_I, 2.0)
-    u = 0.05 * grid20.x * np.exp(-grid20.x**2)
-    rho = 0.3 * np.sin(40 * np.pi / grid20.L * grid20.x) * np.exp(-grid20.x**2)
-    s0 = State(0.0, np.stack([u, rho]))
-    kw = dict(t_end=0.2, blowup_grad_threshold=1.0, dt_min=0.05, dt_max=0.05)
-    _, rep_hs = run(s0, p, StepControl(framework=Framework.HS, **kw),
-                    grid20, diag=DiagSettings(char_stride=0))
-    _, rep_h2 = run(s0, p, StepControl(framework=Framework.H2, **kw),
-                    grid20, diag=DiagSettings(char_stride=0))
-    assert rep_hs.status is RunStatus.BLOW_UP_DETECTED
-    assert rep_hs.blowup.quantity.value == "sup_rhox"
-    assert rep_h2.status is RunStatus.REACHED_T_END
 
 
 # ----------------------------------------------------------------------
@@ -403,13 +347,11 @@ def _odd_u(g, amplitude, t0):
       (0.1, CaseTag.CASE_II, 1.5)],
      ["reached_t_end", "overflow/1", "resolution_lost", "overflow/0",
       "reached_t_end"]),
-    # dt pinned at its floor: only the member whose u_x passes the
-    # threshold is detected
-    (StepControl(t_end=0.12, blowup_grad_threshold=0.1, dt_min=0.05,
-                 dt_max=0.05, framework=Framework.H2),
+    # dt pinned above the CFL step, so every step sits at dt_min
+    (StepControl(t_end=0.12, dt_min=0.05, dt_max=0.05),
      [(1.0, CaseTag.CASE_I, 2.0), (0.01, CaseTag.CASE_I, 2.0)],
-     ["blow_up_detected", "reached_t_end"]),
-], ids=["resolution_and_overflow", "two_overflow_stages", "detection"])
+     ["reached_t_end", "reached_t_end"]),
+], ids=["resolution_and_overflow", "two_overflow_stages", "dt_floor"])
 def test_run_batch_members_match_their_single_runs(ctl, members, statuses):
     g = Grid(10.0, 256)
     diag = DiagSettings(every=2, char_stride=4, snapshot_every=5,
