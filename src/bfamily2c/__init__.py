@@ -28,7 +28,7 @@ from .stepper import (RESOLUTION_TOL, DiagSettings, OverflowSignal, RunReport,
                       RunStatus, StepControl, Trajectory, choose_dt, run,
                       run_batch, step_rk4)
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "Branch", "CaseTag", "CharField", "DIAG_COLUMNS", "DiagRecord",

@@ -113,8 +113,8 @@ class RhoBoundResult:
     worst_margin: float  # max over records of sup_rho - bound (<= 0 when ok)
 
 
-def _check_variant(variant, ts, sup_rho, rate, slack):
-    bounds, first_bad = _exp_envelope(ts, sup_rho, float(sup_rho[0]), rate, slack)
+def _check_variant(variant, ts, sup_rho, rate):
+    bounds, first_bad = _exp_envelope(ts, sup_rho, float(sup_rho[0]), rate)
     worst = max([-np.inf] + [s_r - b for s_r, b in zip(sup_rho, bounds)])
     return RhoBoundResult(variant, True, first_bad is None, first_bad, float(worst))
 
@@ -125,7 +125,7 @@ class RhoSupBoundResult:
     variants: list[RhoBoundResult]
 
 
-def rho_sup_bound_check(records, p: ModelParams, slack: float = 1e-8) -> RhoSupBoundResult:
+def rho_sup_bound_check(records, p: ModelParams) -> RhoSupBoundResult:
     """Verify the exponential transport bounds on sup|rho| a posteriori.
 
     Three variants, each using the running extremum of u_x over [0, t]
@@ -134,7 +134,7 @@ def rho_sup_bound_check(records, p: ModelParams, slack: float = 1e-8) -> RhoSupB
       k3 >= 0:  sup|rho(t)| <= e^{+k3 M t} sup|rho0|,  u_x <= +M
       always:   sup|rho(t)| <= e^{|k3| M t} sup|rho0|, |u_x| <= M
     Records need fields t, min_ux, max_ux, sup_rho.  Inequalities are
-    checked at every recorded time with the given relative slack.
+    checked at every recorded time with the relative ENVELOPE_SLACK.
     """
     ts = np.array([r.t for r in records])
     min_ux = np.array([r.min_ux for r in records])
@@ -146,14 +146,10 @@ def rho_sup_bound_check(records, p: ModelParams, slack: float = 1e-8) -> RhoSupB
     m_high = np.maximum.accumulate(np.maximum(0.0, max_ux))   # u_x <= +M
     m_abs = np.maximum.accumulate(np.maximum(np.abs(min_ux), np.abs(max_ux)))
 
-    out = []
-    if k3 <= 0.0:
-        out.append(_check_variant("k3_nonpositive", ts, sup_rho, -k3 * m_low, slack))
-    else:
-        out.append(RhoBoundResult("k3_nonpositive", False, True, None, -np.inf))
-    if k3 >= 0.0:
-        out.append(_check_variant("k3_nonnegative", ts, sup_rho, k3 * m_high, slack))
-    else:
-        out.append(RhoBoundResult("k3_nonnegative", False, True, None, -np.inf))
-    out.append(_check_variant("absolute", ts, sup_rho, abs(k3) * m_abs, slack))
+    variants = (("k3_nonpositive", k3 <= 0.0, -k3 * m_low),
+                ("k3_nonnegative", k3 >= 0.0, k3 * m_high),
+                ("absolute", True, abs(k3) * m_abs))
+    out = [_check_variant(name, ts, sup_rho, rate) if holds
+           else RhoBoundResult(name, False, True, None, -np.inf)
+           for name, holds, rate in variants]
     return RhoSupBoundResult(all(v.ok for v in out if v.applicable), out)

@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import __version__
 from .characteristics import rho_sup_bound_check
-from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, DiagRecord,
+from .diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS, ORIGIN_TOL, DiagRecord,
                           SymmetryMode, conservation_check, gronwall_check_h2,
                           h3_energy_check, identities_check, origin_check,
                           riccati_check, symmetry_check, transport_check)
@@ -108,7 +108,7 @@ def _take(sec: dict, path: str, key: str, kind, default=...):
     if not isinstance(val, accepted) or (isinstance(val, bool) and kind is not bool):
         raise ConfigError(f"field '{where}' must be {noun}, got {val!r}")
     # json reads NaN, Infinity and integers past float range; a NaN
-    # tolerance would pass every check
+    # fails every comparison, so no range test would catch it
     if kind is float and not abs(val) <= sys.float_info.max:
         raise ConfigError(f"field '{where}' must be finite, got {val!r}")
     return kind(val)
@@ -228,14 +228,6 @@ class CheckSettings:
     riccati: bool = False
     h3_energy: bool = False
     symmetry_mode: SymmetryMode | None = None
-    transport_tol: float = 1e-6
-    symmetry_tol: float = 1e-10
-    origin_tol: float = 1e-9
-    identity_rel_tol: float = 1e-10
-    gronwall_slack: float = 1e-8
-    rho_bound_slack: float = 1e-8
-    conservation_tol: float = 1e-12
-    riccati_tol_coeff: float = 1e-4
 
 
 @dataclass
@@ -273,12 +265,12 @@ def parse_config(cfg: dict) -> RunSetup:
         cs.transport = setup.outputs.char_label_stride > 0
     if cs.transport and setup.outputs.char_label_stride == 0:
         raise ConfigError("checks.transport requires outputs.char_label_stride > 0")
-    if cs.symmetry is None:
-        cs.symmetry = cs.symmetry_mode is not None
-    if cs.origin is None:
-        cs.origin = cs.symmetry_mode is not None
-    if cs.symmetry and cs.symmetry_mode is None:
-        raise ConfigError("checks.symmetry requires checks.symmetry_mode")
+    # the parity, origin and Riccati checks hold on data of a declared parity
+    for name in ("symmetry", "origin", "riccati"):
+        if getattr(cs, name) is None:
+            setattr(cs, name, cs.symmetry_mode is not None)
+        if getattr(cs, name) and cs.symmetry_mode is None:
+            raise ConfigError(f"checks.{name} requires checks.symmetry_mode")
     if cs.riccati and not (1.0 < setup.params.k1 <= 3.0 and setup.params.k2 >= 0.0):
         raise ConfigError("checks.riccati needs 1 < k1 <= 3 and k2 >= 0")
     return setup
@@ -311,15 +303,15 @@ def _check_block(res) -> dict:
 
 # one row per CheckSettings flag, in manifest order
 _CHECKS = {
-    "conservation": lambda r, p, cs: conservation_check(r, cs.conservation_tol),
-    "gronwall": lambda r, p, cs: gronwall_check_h2(r, p, cs.gronwall_slack),
-    "rho_bound": lambda r, p, cs: rho_sup_bound_check(r, p, cs.rho_bound_slack),
-    "transport": lambda r, p, cs: transport_check(r, cs.transport_tol),
-    "identities": lambda r, p, cs: identities_check(r, cs.identity_rel_tol),
-    "symmetry": lambda r, p, cs: symmetry_check(r, cs.symmetry_mode, cs.symmetry_tol),
-    "origin": lambda r, p, cs: origin_check(r, cs.origin_tol),
-    "riccati": lambda r, p, cs: riccati_check(r, p, cs.riccati_tol_coeff),
-    "h3_energy": lambda r, p, cs: h3_energy_check(r, p, cs.gronwall_slack),
+    "conservation": lambda r, p, cs: conservation_check(r),
+    "gronwall": lambda r, p, cs: gronwall_check_h2(r, p),
+    "rho_bound": lambda r, p, cs: rho_sup_bound_check(r, p),
+    "transport": lambda r, p, cs: transport_check(r),
+    "identities": lambda r, p, cs: identities_check(r),
+    "symmetry": lambda r, p, cs: symmetry_check(r, cs.symmetry_mode),
+    "origin": lambda r, p, cs: origin_check(r),
+    "riccati": lambda r, p, cs: riccati_check(r, p),
+    "h3_energy": lambda r, p, cs: h3_energy_check(r, p),
 }
 
 
@@ -355,7 +347,7 @@ def slope_bound_payload(records: list[DiagRecord], p: ModelParams,
 
     Applicable on the data the bound covers: 1 < k1 <= 3, k2 >= 0,
     u0'(0) > 0, a declared symmetry mode (odd u0, rho0 even or odd) and
-    |rho0(0)| <= origin_tol.
+    |rho0(0)| <= ORIGIN_TOL.
 
     A run stopped on lost resolution puts its stop time in
     t_resolution_lost, and stopped_before_bound compares that with the
@@ -364,7 +356,7 @@ def slope_bound_payload(records: list[DiagRecord], p: ModelParams,
     h0 = records[0].ux0
     applicable = ((1.0 < p.k1 <= 3.0) and p.k2 >= 0.0 and h0 > 0.0
                   and cs.symmetry_mode is not None
-                  and abs(records[0].rho0) <= cs.origin_tol)
+                  and abs(records[0].rho0) <= ORIGIN_TOL)
     bound = blowup_bound(p, h0) if applicable else None
     t_lost = (report.t_final
               if report.status is RunStatus.RESOLUTION_LOST else None)

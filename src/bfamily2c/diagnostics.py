@@ -37,6 +37,16 @@ EXTRA_COLUMNS = (
     "d_m2", "d_rho2", "d_rhox2", "d_rhoxx2",
 )
 
+# each check's tolerance, fixed so that a passed check means the same
+# thing in every run
+CONSERVATION_TOL = 1e-12  # drift of int rho, relative to max(|int rho0|, 1)
+ENVELOPE_SLACK = 1e-8  # relative, on the Gronwall, H^3 and sup|rho| bounds
+TRANSPORT_TOL = 1e-6  # transport invariant residual
+IDENTITY_REL_TOL = 1e-10  # energy identity residual, relative to its scale
+SYMMETRY_TOL = 1e-10  # parity residual
+ORIGIN_TOL = 1e-9  # |u|, |u_xx| and |rho| at the origin
+RICCATI_TOL_COEFF = 1e-4  # Riccati slack per unit of 1 + h^2
+
 
 class SymmetryMode(Enum):
     U_ODD_RHO_EVEN = "u_odd_rho_even"
@@ -236,18 +246,18 @@ def _exp_term(coeff: float, arg: float) -> float:
         return math.copysign(math.inf, coeff)
 
 
-def _exp_envelope(ts, vals, base: float, rate, slack: float):
+def _exp_envelope(ts, vals, base: float, rate):
     """Per-record bounds base e^{rate t} and the first violation.
 
     `rate` is one constant or one value per record; the bound at t = 0
     is base itself.  The first violation is the first t whose value
-    exceeds its bound by more than the relative slack, or None.
+    exceeds its bound by more than ENVELOPE_SLACK, relative, or None.
     """
     rates = np.broadcast_to(rate, np.shape(ts))
     bounds = [base if t == 0.0 else _exp_term(base, float(r) * float(t))
               for t, r in zip(ts, rates)]
     first_bad = next((float(t) for t, v, b in zip(ts, vals, bounds)
-                      if v > b * (1.0 + slack)), None)
+                      if v > b * (1.0 + ENVELOPE_SLACK)), None)
     return bounds, first_bad
 
 
@@ -262,11 +272,11 @@ def _ux_extremum(records, branch: Branch) -> float:
     return float(np.max(np.maximum(np.abs(min_ux), np.abs(max_ux))))
 
 
-def _energy_envelope(records, field: str, c: float, slack: float):
+def _energy_envelope(records, field: str, c: float):
     """(first violation, worst ratio) of a record field against f(0) e^{ct}."""
     ts = np.array([r.t for r in records])
     vals = np.array([getattr(r, field) for r in records])
-    bounds, first_bad = _exp_envelope(ts, vals, float(vals[0]), c, slack)
+    bounds, first_bad = _exp_envelope(ts, vals, float(vals[0]), c)
     # Python floats: an overflowed run's inf / inf is nan without a warning
     worst = max([0.0] + [v / b for v, b in zip(vals.tolist(), bounds) if b > 0.0])
     return first_bad, worst
@@ -293,7 +303,7 @@ class GronwallResult:
     worst_ratio: float  # max over records of E2(t) / (e^{ct} E2(0))
 
 
-def gronwall_check_h2(records, p: ModelParams, slack: float = 1e-8) -> GronwallResult:
+def gronwall_check_h2(records, p: ModelParams) -> GronwallResult:
     """A-posteriori exponential bound on E2 = int(m^2 + rho^2 + rho_x^2).
 
     The branch of the H2-frame classification picks the constant:
@@ -323,7 +333,7 @@ def gronwall_check_h2(records, p: ModelParams, slack: float = 1e-8) -> GronwallR
         c = (abs(2.0 * k1 - 1.0) + abs(k3 - k2) + 3.0 * abs(k3)) * m1 \
             + _exp_term(2.0 * abs(k2 - k3) * rho0_sup, abs(k3) * m1 * T)
 
-    first_bad, worst = _energy_envelope(records, "e2", c, slack)
+    first_bad, worst = _energy_envelope(records, "e2", c)
     return GronwallResult(
         branch=sb.branch,
         boundary_overlap=sb.boundary_overlap,
@@ -347,7 +357,7 @@ class H3EnergyResult:
     worst_ratio: float
 
 
-def h3_energy_check(records, p: ModelParams, slack: float = 1e-8) -> H3EnergyResult:
+def h3_energy_check(records, p: ModelParams) -> H3EnergyResult:
     """Flag-gated exponential bound on E1 (the H^3-level functional).
 
     Only the two one-sided branches of the high-regularity frame come
@@ -379,7 +389,7 @@ def h3_energy_check(records, p: ModelParams, slack: float = 1e-8) -> H3EnergyRes
                         * rho0_sup, k3 * m1 * T) \
             + 3.0 * abs(2.0 * k2 + 3.0 * k3) * m2
 
-    first_bad, worst = _energy_envelope(records, "e1", c, slack)
+    first_bad, worst = _energy_envelope(records, "e1", c)
     return H3EnergyResult(True, sb.branch, m1, m2, c, first_bad is None,
                           first_bad, worst)
 
@@ -410,7 +420,7 @@ class RiccatiResult:
         return self.ok_derivative and self.ok_reciprocal
 
 
-def riccati_check(records, p: ModelParams, tol_coeff: float = 1e-4) -> RiccatiResult:
+def riccati_check(records, p: ModelParams) -> RiccatiResult:
     """Verify the origin Riccati inequality on the recorded h = u_x(t,0).
 
     (a) at every interior recorded time, the centered-difference slope
@@ -418,7 +428,7 @@ def riccati_check(records, p: ModelParams, tol_coeff: float = 1e-4) -> RiccatiRe
     (b) from the first record with h > 0, the reciprocal bound
         1/h(t) <= 1/h(t0) - ((k1-1)/2)(t - t0) + tol holds, and h stays
         positive;
-    with tol = tol_coeff * (1 + h^2) evaluated at the checked record.
+    with tol = RICCATI_TOL_COEFF * (1 + h^2) at the checked record.
     """
     if not 1.0 < p.k1 <= 3.0:
         raise ValueError(f"riccati check needs 1 < k1 <= 3, got k1={p.k1}")
@@ -432,7 +442,7 @@ def riccati_check(records, p: ModelParams, tol_coeff: float = 1e-4) -> RiccatiRe
     for j in range(1, len(records) - 1):
         slope = _centered_slope(ts[j - 1], ts[j], ts[j + 1],
                                 h[j - 1], h[j], h[j + 1])
-        if slope < half * h[j] ** 2 - tol_coeff * (1.0 + h[j] ** 2):
+        if slope < half * h[j] ** 2 - RICCATI_TOL_COEFF * (1.0 + h[j] ** 2):
             deriv_bad = float(ts[j])
             break
 
@@ -450,11 +460,8 @@ def riccati_check(records, p: ModelParams, tol_coeff: float = 1e-4) -> RiccatiRe
     t0, h0 = float(ts[i0]), float(h[i0])
     recip_bad = None
     for j in range(i0 + 1, len(h)):
-        tol = tol_coeff * (1.0 + h[j] ** 2)
-        if h[j] <= 0.0:
-            recip_bad = float(ts[j])
-            break
-        if 1.0 / h[j] > 1.0 / h0 - half * (ts[j] - t0) + tol:
+        tol = RICCATI_TOL_COEFF * (1.0 + h[j] ** 2)
+        if h[j] <= 0.0 or 1.0 / h[j] > 1.0 / h0 - half * (ts[j] - t0) + tol:
             recip_bad = float(ts[j])
             break
     return RiccatiResult(deriv_bad is None, deriv_bad, recip_bad is None,
@@ -469,13 +476,13 @@ class ConservationResult:
     rel_drift: float
 
 
-def conservation_check(records, rel_tol: float = 1e-12) -> ConservationResult:
+def conservation_check(records) -> ConservationResult:
     """Drift of int rho dx, relative to max(|initial value|, 1)."""
     vals = np.array([r.int_rho for r in records])
     base = float(vals[0])
     drift = float(np.max(np.abs(vals - base)))
     rel = drift / max(abs(base), 1.0)
-    return ConservationResult(rel <= rel_tol, base, drift, rel)
+    return ConservationResult(rel <= CONSERVATION_TOL, base, drift, rel)
 
 
 def _finite_max(vals) -> float:
@@ -492,14 +499,14 @@ class TransportResult:
     tol: float
 
 
-def transport_check(records, tol: float = 1e-6) -> TransportResult:
-    """Transport invariant within tol, and the flow map still increasing."""
+def transport_check(records) -> TransportResult:
+    """Transport invariant within TRANSPORT_TOL, flow map still increasing."""
     worst = _finite_max([r.transport_res for r in records])
     qx_min = min((r.qx_min for r in records if math.isfinite(r.qx_min)),
                  default=math.nan)
-    ok = (math.isfinite(worst) and worst <= tol
+    ok = (math.isfinite(worst) and worst <= TRANSPORT_TOL
           and math.isfinite(qx_min) and qx_min > 0.0)
-    return TransportResult(ok, worst, qx_min, tol)
+    return TransportResult(ok, worst, qx_min, TRANSPORT_TOL)
 
 
 @dataclass(frozen=True)
@@ -519,7 +526,7 @@ class IdentitiesResult:
     rhoxx2: IdentityResidual
 
 
-def identities_check(records, rel_tol: float = 1e-10) -> IdentitiesResult:
+def identities_check(records) -> IdentitiesResult:
     """Largest |d_* - s_*| of each energy identity relative to its s_* scale."""
     def residual(name: str) -> IdentityResidual:
         res_max = max(abs(getattr(r, f"d_{name}") - getattr(r, f"s_{name}"))
@@ -530,8 +537,8 @@ def identities_check(records, rel_tol: float = 1e-10) -> IdentitiesResult:
         return IdentityResidual(res_max, scale, rel)
 
     per = {name: residual(name) for name in ("m2", "rho2", "rhox2", "rhoxx2")}
-    return IdentitiesResult(all(v.rel_residual <= rel_tol for v in per.values()),
-                            rel_tol, **per)
+    ok = all(v.rel_residual <= IDENTITY_REL_TOL for v in per.values())
+    return IdentitiesResult(ok, IDENTITY_REL_TOL, **per)
 
 
 @dataclass(frozen=True)
@@ -542,11 +549,11 @@ class SymmetryResult:
     mode: SymmetryMode
 
 
-def symmetry_check(records, mode: SymmetryMode,
-                   tol: float = 1e-10) -> SymmetryResult:
-    """The recorded parity residuals stay within tol."""
+def symmetry_check(records, mode: SymmetryMode) -> SymmetryResult:
+    """The recorded parity residuals stay within SYMMETRY_TOL."""
     worst = _finite_max([r.symmetry_res for r in records])
-    return SymmetryResult(math.isfinite(worst) and worst <= tol, worst, tol, mode)
+    ok = math.isfinite(worst) and worst <= SYMMETRY_TOL
+    return SymmetryResult(ok, worst, SYMMETRY_TOL, mode)
 
 
 @dataclass(frozen=True)
@@ -556,7 +563,7 @@ class OriginResult:
     tol: float
 
 
-def origin_check(records, tol: float = 1e-9) -> OriginResult:
-    """u, u_xx and rho stay pinned to zero at the origin."""
+def origin_check(records) -> OriginResult:
+    """u, u_xx and rho stay pinned to zero at the origin, within ORIGIN_TOL."""
     worst = max(max(abs(r.u0), abs(r.uxx0), abs(r.rho0)) for r in records)
-    return OriginResult(worst <= tol, worst, tol)
+    return OriginResult(worst <= ORIGIN_TOL, worst, ORIGIN_TOL)

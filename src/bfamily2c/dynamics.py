@@ -26,7 +26,7 @@ the multipliers i kappa and i kappa / (1 + kappa^2) are linear and
 diagonal in Fourier space, so the tendency is formed there, on the
 n_keep bins the rule keeps, and never transformed back.  The physical
 rows (u, rho, u_x) of the evaluated state are the ones the step size,
-the characteristics, the detection slopes and the records read.
+the characteristics and the records read.
 
 Every array an evaluation, an RK4 step or a record writes lives in
 one Workspace, allocated once per run.  Each array puts the field

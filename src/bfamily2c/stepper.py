@@ -44,13 +44,13 @@ class RunStatus(Enum):
 
 RESOLUTION_TOL = 1e-12
 """Spectral-tail stop at which the origin pinning of the wave-breaking
-runs still holds to origin_tol = 1e-9 with about two orders of
-magnitude to spare.  On the odd-u / even-rho breaking runs at N=4096,
-L=10 (b = 1.5 .. 3 and the cubic start) the drift of rho(t,0), a
+runs still holds to diagnostics.ORIGIN_TOL = 1e-9 with about two
+orders of magnitude to spare.  On the odd-u / even-rho breaking runs at
+N=4096, L=10 (b = 1.5 .. 3 and the cubic start) the drift of rho(t,0), a
 truncation error of the flux u rho, stays within about 15 times the
 tail tolerance up to the stop: tolerance 1e-12, 1e-10, 1e-8 gives
 max |rho(t,0)| = 1.1e-11, 1.4e-9, 1.5e-7.  1e-12 is the largest decade
-whose drift stays near 1e-2 * origin_tol; 1e-10 already breaks it.
+whose drift stays near 1e-2 * ORIGIN_TOL; 1e-10 already breaks it.
 """
 
 

@@ -22,7 +22,7 @@ from bfamily2c.cli import (SWEEP_COLUMNS, CheckSettings, ConfigError,
                            config_echo, main, parse_config, read_records,
                            slope_bound_payload, write_diagnostics_csv,
                            write_extras_csv)
-from bfamily2c.diagnostics import DIAG_COLUMNS, EXTRA_COLUMNS
+from bfamily2c.diagnostics import DIAG_COLUMNS, EXTRA_COLUMNS, TRANSPORT_TOL
 
 
 def base_config(**overrides):
@@ -88,6 +88,12 @@ def test_parse_config_nested_m0():
     (lambda c: c["model"].update(extra=1), "model.extra"),
     (lambda c: c.update(mystery={}), "mystery"),
     (lambda c: c.update(checks={"symmetry": True}), "symmetry_mode"),
+    # origin and riccati hold on odd u only: on smooth.json's even u both
+    # fail for no fault (max_value 2.0; h0 = 7.7e-16)
+    (lambda c: c.update(checks={"origin": True}),
+     "checks.origin requires checks.symmetry_mode"),
+    (lambda c: c.update(checks={"riccati": True}),
+     "checks.riccati requires checks.symmetry_mode"),
     (lambda c: c.update(outputs={"char_label_stride": 0},
                         checks={"transport": True}), "transport"),
 ])
@@ -139,8 +145,8 @@ def test_config_echo_round_trips():
 
 def test_riccati_needs_admissible_coefficients():
     cfg = base_config(model={"case": "case_i", "b": 0.5},
-                      checks={"riccati": True})
-    with pytest.raises(ConfigError, match="riccati"):
+                      checks={"riccati": True, "symmetry_mode": "u_odd_rho_even"})
+    with pytest.raises(ConfigError, match="riccati needs 1 < k1"):
         parse_config(cfg)
 
 
@@ -399,15 +405,14 @@ def test_malformed_json_roots_are_config_errors(tmp_path, caplog, command,
 
 @pytest.mark.parametrize("section,key,value", [
     ("control", "dt_max", math.nan),
-    ("checks", "gronwall_slack", math.nan),
+    ("grid", "L", math.nan),
     ("model", "b", 10**400),
 ])
 def test_non_finite_float_field_is_a_config_error(tmp_path, caplog,
                                                   section, key, value):
-    # json reads NaN; a NaN fails every comparison, so a step bound would
-    # meet a range test's message instead of this one, and a NaN slack makes
-    # every violation test false, so the check would pass vacuously.  An
-    # integer past float range crashed the conversion to float.
+    # json reads NaN; a NaN fails every comparison, so a step bound or a
+    # half-width would meet a range test's message instead of this one.
+    # An integer past float range crashed the conversion to float.
     cfg = base_config()
     cfg.setdefault(section, {})[key] = value
     assert main(["run", str(write_config(tmp_path, cfg))]) == 2
@@ -423,10 +428,15 @@ def test_non_finite_float_field_is_a_config_error(tmp_path, caplog,
     pytest.param("control", "blowup_grad_threshold", 1e4,
                  id="control.blowup_grad_threshold"),
     pytest.param("control", "framework", "hs", id="control.framework"),
+    # each check's tolerance is fixed in code, so no run can loosen one
+    *(pytest.param("checks", key, 1e300, id=f"checks.{key}")
+      for key in ("transport_tol", "symmetry_tol", "origin_tol",
+                  "identity_rel_tol", "gronwall_slack", "rho_bound_slack",
+                  "conservation_tol", "riccati_tol_coeff")),
 ])
 def test_removed_field_is_an_unknown_field(tmp_path, caplog, section, key, value):
     cfg = base_config(outputs={"directory": str(tmp_path / "out")})
-    cfg[section][key] = value
+    cfg.setdefault(section, {})[key] = value
     assert main(["run", str(write_config(tmp_path, cfg))]) == 2
     assert f"unknown field '{section}.{key}'" in caplog.text
     assert not (tmp_path / "out").exists()
@@ -596,6 +606,33 @@ def test_sweep_member_at_its_identity_floor_is_green(tmp_path, serial_pool):
     assert block["passed"] and block["rel_tol"] == 1e-10
     assert max(block[n]["rel_residual"]
                for n in ("m2", "rho2", "rhox2", "rhoxx2")) <= 1e-13
+
+
+def test_check_rederives_a_loosened_verdict_at_the_fixed_tolerance(
+        tmp_path, capsys, caplog):
+    # the red member above, its stored transport block rewritten to pass
+    # at a loosened tolerance: check re-derives the verdict at TRANSPORT_TOL,
+    # and a config echo that restates the tolerance does not parse
+    cfg = json.loads((CONFIGS / "sweep.json").read_text())
+    del cfg["sweep"]
+    cfg["model"] = {"case": "case_ii", "b": 3.0}
+    cfg["initial"]["u"]["amplitude"] = 0.75
+    cfg["outputs"]["directory"] = str(tmp_path / "out")
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    path = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert manifest["checks"]["transport"]["tol"] == TRANSPORT_TOL
+    manifest["checks"]["transport"].update(passed=True, tol=1e300)
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "check FAILED: check 'transport' verdict differs "
+        "(stored=True, recomputed=False)"]
+    manifest["config"]["checks"]["transport_tol"] = 1e300
+    path.write_text(json.dumps(manifest))
+    assert main(["check", str(path)]) == 2
+    assert "unknown field 'checks.transport_tol'" in caplog.text
 
 
 def test_sweep_member_overflow_leaves_the_others_alone(tmp_path, serial_pool,
@@ -867,7 +904,7 @@ def test_slope_payload_without_resolution_stop():
 
 @pytest.mark.parametrize("mode, rho0, applicable", [
     (SymmetryMode.U_ODD_RHO_ODD, 0.0, True),
-    (SymmetryMode.U_ODD_RHO_EVEN, 1e-9, True),  # |rho0(0)| at origin_tol
+    (SymmetryMode.U_ODD_RHO_EVEN, 1e-9, True),  # |rho0(0)| at ORIGIN_TOL
     # a Gaussian rho0 with rho0(0) = 0.5, as in the shipped sweep
     (SymmetryMode.U_ODD_RHO_EVEN, 0.5, False),
     # no parity declared, as in the shipped smooth run

@@ -12,9 +12,9 @@ from bfamily2c import (Branch, CaseTag, DiagRecord, DiagSettings, Grid,
                        gronwall_check_h2, h3_energy_check, make_params,
                        make_record, riccati_check, run, stepper,
                        symmetry_residual)
-from bfamily2c.cli import CheckSettings
 from bfamily2c.diagnostics import (DIAG_COLUMNS, EXTRA_COLUMNS,
-                                   _centered_slope, identities_check)
+                                   IDENTITY_REL_TOL, _centered_slope,
+                                   identities_check)
 
 
 def record(states, dt, ps, g, **kwargs):
@@ -178,9 +178,8 @@ def test_a_wrong_rhs_coefficient_fails_identities(monkeypatch):
     p = make_params(CaseTag.CASE_I, 2.0)
     s0 = State(0.0, np.stack([np.exp(-g.x**2), 0.5 * np.exp(-g.x**2)]))
     ctl, diag = StepControl(t_end=0.2), DiagSettings(char_stride=0)
-    tol = CheckSettings().identity_rel_tol
     traj, _ = run(s0, p, ctl, g, diag)
-    assert identities_check(traj.records, tol).ok
+    assert identities_check(traj.records).ok
 
     def mutated(t, yh, ps, g, ws=None, stage=0):
         wrong = SimpleNamespace(k1=ps.k1 + 1e-6, k2=ps.k2, k3=ps.k3)
@@ -188,8 +187,8 @@ def test_a_wrong_rhs_coefficient_fails_identities(monkeypatch):
 
     monkeypatch.setattr(stepper, "eval_rhs", mutated)
     traj, _ = run(s0, p, ctl, g, diag)
-    res = identities_check(traj.records, tol)
-    assert not res.ok and res.m2.rel_residual > 1e3 * tol
+    res = identities_check(traj.records)
+    assert not res.ok and res.m2.rel_residual > 1e3 * IDENTITY_REL_TOL
 
 
 def synth_records(ts, e2=1.0, e1=1.0, min_ux=-0.5, max_ux=0.5, sup_rho=1.0,
